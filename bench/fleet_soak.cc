@@ -179,7 +179,8 @@ core::EncoderConfig FleetEncoder() {
   return cfg;
 }
 
-serve::ServiceConfig FleetService(int num_workers, int batch_max) {
+serve::ServiceConfig FleetService(int num_workers, int batch_max,
+                                  bool batch_coalesce) {
   serve::ServiceConfig cfg;
   cfg.num_workers = num_workers;
   cfg.queue_capacity = 64;
@@ -190,6 +191,7 @@ serve::ServiceConfig FleetService(int num_workers, int batch_max) {
   cfg.cache_capacity = 512;
   cfg.time_bucket_s = 900;
   cfg.batch_max = batch_max;
+  cfg.batch_coalesce = batch_coalesce;
   cfg.canary_permille = 250;
   cfg.canary_promote_after = Smoke() ? 16 : 64;
   return cfg;
@@ -209,7 +211,8 @@ double MeasureFleetRps(const std::vector<FleetWorld>& worlds, int num_shards,
     // One worker per shard: throughput scaling must come from shard
     // parallelism, which is exactly what the gate measures.
     serve::ServiceConfig sc = FleetService(/*num_workers=*/1,
-                                           /*batch_max=*/8);
+                                           /*batch_max=*/8,
+                                           /*batch_coalesce=*/true);
     sc.shard = "scale" + std::to_string(c);
     sc.metrics_prefix = sc.shard + ".";
     auto svc = std::make_unique<serve::InferenceService>(
@@ -307,7 +310,8 @@ PassResult RunPass(const std::vector<FleetWorld>& worlds,
     route::CityShardConfig cfg;
     cfg.city_id = c;
     cfg.root = root;
-    cfg.service = FleetService(ShardWorkers(), /*batch_max=*/0);
+    cfg.service = FleetService(ShardWorkers(), /*batch_max=*/1,
+                               /*batch_coalesce=*/false);
     cfg.rollout.quality_budget = 0.50;
     cfg.rollout.quantize_twins = false;
     cfg.enable_drift = true;

@@ -28,14 +28,17 @@
 //               the twin vs the fp32 encoder as
 //               serve.quantized.probe_mae_ratio (baseline-gated).
 //
-// Then three phases on fresh service instances comparing the legacy
-// per-request pipeline against the micro-batched one (tpr::batch) under
+// Every phase above runs the service's per-request mode (the default
+// batch_max=1, coalescing off: each request is its own batch of one at
+// its exact departure time). Then three phases on fresh service
+// instances compare that mode against micro-batching (tpr::batch) under
 // a saturating closed-loop load:
 //
-//   single          — batch_max=0 (per-request encodes), the throughput
-//                     baseline.
-//   batched         — batch_max from TPR_BATCH_MAX (default 32): padded
-//                     batch forwards plus duplicate-key coalescing. The
+//   single          — batch_max=1 (one encode per request), the
+//                     throughput baseline.
+//   batched         — batch_max from TPR_BATCH_MAX (default 32) with
+//                     coalescing on: padded batch forwards plus
+//                     duplicate-key coalescing. The
 //                     derived serve.batched.speedup_vs_single and
 //                     serve.batched.p99_gain ratios feed the
 //                     `bench_gate.py throughput` floor gate (they are
@@ -476,15 +479,17 @@ int main(int argc, char** argv) {
   fault::ClearPlan();
   serve::ServiceConfig tput_config = config;
   tput_config.queue_capacity = 512;
+  tput_config.batch_max = 1;
   const int compare_requests = Smoke() ? 6400 : 20000;
   const size_t tput_window = 256;
   // Both legs replay the same duplicate-heavy trace: 9 of every 10
-  // requests cycle 8 hot (path, departure) keys. The single pipeline
-  // encodes every request regardless; the batched pipeline coalesces
-  // the repeats — that asymmetry is the feature under test.
+  // requests cycle 8 hot (path, departure) keys. The single leg
+  // encodes every request regardless; the batched leg coalesces the
+  // repeats — that asymmetry is the feature under test.
   const TraceMix tput_mix{/*hot_per_10=*/9, /*hot_pool=*/8};
 
-  std::fprintf(stderr, "[bench] single-pipeline throughput: %d requests...\n",
+  std::fprintf(stderr,
+               "[bench] single (batch_max=1) throughput: %d requests...\n",
                compare_requests);
   PhaseStats single;
   {
@@ -502,6 +507,7 @@ int main(int argc, char** argv) {
     const batch::BatchConfig bc = batch::FromEnv();
     batched_config.batch_max = bc.max_batch;
     batched_config.batch_ticks = bc.max_ticks;
+    batched_config.batch_coalesce = true;
   }
   std::fprintf(stderr,
                "[bench] batched throughput: %d requests (batch_max=%d)...\n",

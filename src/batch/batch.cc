@@ -1,5 +1,6 @@
 #include "batch/batch.h"
 
+#include <climits>
 #include <cstdlib>
 #include <string>
 
@@ -13,22 +14,22 @@ namespace {
 // system (fault verdicts, canary routing, cache keys).
 constexpr uint64_t kGroupSalt = 0xBA7C45EEDULL;
 
-int64_t EnvInt64(const char* name, int64_t fallback) {
+/// A positive int from the environment, or `fallback` when the variable
+/// is unset, unparsable, below 1, or above INT_MAX.
+int EnvPositiveInt(const char* name, int fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
   char* end = nullptr;
   const long long v = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
-  return static_cast<int64_t>(v);
+  if (end == raw || *end != '\0' || v < 1 || v > INT_MAX) return fallback;
+  return static_cast<int>(v);
 }
 
 }  // namespace
 
 BatchConfig FromEnv(BatchConfig defaults) {
-  defaults.max_batch = static_cast<int>(
-      EnvInt64("TPR_BATCH_MAX", defaults.max_batch));
-  defaults.max_ticks = static_cast<int>(
-      EnvInt64("TPR_BATCH_TICKS", defaults.max_ticks));
+  defaults.max_batch = EnvPositiveInt("TPR_BATCH_MAX", defaults.max_batch);
+  defaults.max_ticks = EnvPositiveInt("TPR_BATCH_TICKS", defaults.max_ticks);
   return defaults;
 }
 

@@ -27,11 +27,11 @@
 // With coalescing off, every request is its own group keyed by ticket
 // and encodes at its exact departure time.
 //
-// The group key hash also keys the serve layer's batched fault verdicts
-// ("batch-flush", grouped "encoder-forward" retries), which is what
-// keeps per-request outcomes independent of batch composition: the
-// verdict for a group is the same whether its batch flushed by size, by
-// age, or by idle drain.
+// The serve layer keys a coalesced group's fault verdicts ("batch-flush",
+// grouped "encoder-forward" retries) by the same GroupHash, and a
+// non-coalesced request's by its id, which is what keeps per-request
+// outcomes independent of batch composition: the verdict for a group is
+// the same whether its batch flushed by size, by age, or by idle drain.
 
 #include <cstdint>
 #include <deque>
@@ -61,7 +61,8 @@ struct BatchConfig {
 };
 
 /// Reads TPR_BATCH_MAX / TPR_BATCH_TICKS over `defaults`. Unset or
-/// unparsable variables leave the default untouched.
+/// unparsable variables, and values below 1 or above INT_MAX, leave the
+/// default untouched.
 BatchConfig FromEnv(BatchConfig defaults = {});
 
 /// One formed group: a path to encode once at `encode_time_s`, fanned
@@ -91,9 +92,9 @@ class BatchFormer {
   explicit BatchFormer(const BatchConfig& config);
 
   /// The group key for (path, encode_time, salt). Pure; `salt` carries
-  /// the caller's extra identity (tpr::serve mixes in the pinned model
-  /// generation so coalesced groups are generation-homogeneous, plus
-  /// the ticket when coalescing is off).
+  /// the caller's extra identity (tpr::serve passes the pinned model
+  /// generation so coalesced groups are generation-homogeneous; Arrive
+  /// mixes in the ticket when coalescing is off).
   static uint64_t GroupHash(const graph::Path& path, int64_t encode_time_s,
                             uint64_t salt);
 

@@ -70,22 +70,10 @@ nn::Var TemporalPathEncoder::BuildStaticFeatures(const graph::Path& path,
 
 EncodedPath TemporalPathEncoder::Encode(const graph::Path& path,
                                         int64_t depart_time_s) const {
-  auto out = EncodeImpl(path, depart_time_s, /*cancelled=*/nullptr);
-  TPR_CHECK(out.has_value());  // never cancelled without a callback
-  return *std::move(out);
-}
-
-std::optional<EncodedPath> TemporalPathEncoder::EncodeImpl(
-    const graph::Path& path, int64_t depart_time_s,
-    const std::function<bool()>* cancelled) const {
   TPR_CHECK(!path.empty());
   const auto& network = *features_->data->network;
   const int T = static_cast<int>(path.size());
-  const auto is_cancelled = [cancelled] {
-    return cancelled != nullptr && *cancelled && (*cancelled)();
-  };
 
-  if (is_cancelled()) return std::nullopt;
   std::vector<int> rt_ids(T), lane_ids(T), ow_ids(T), ts_ids(T);
   for (int i = 0; i < T; ++i) {
     const auto& e = network.edge(path[i]);
@@ -103,11 +91,9 @@ std::optional<EncodedPath> TemporalPathEncoder::EncodeImpl(
                               signal_emb_->Forward(ts_ids),
                               BuildStaticFeatures(path, depart_time_s)});
 
-  if (is_cancelled()) return std::nullopt;
   EncodedPath out;
   out.edge_reps = lstm_ != nullptr ? lstm_->Forward(x)
                                    : transformer_->Forward(x);  // Eq. 7
-  if (is_cancelled()) return std::nullopt;
   switch (config_.aggregation) {            // Eq. 8 (mean by default)
     case Aggregation::kMean:
       out.tpr = nn::RowMean(out.edge_reps);
@@ -134,13 +120,11 @@ std::optional<EncodedPath> TemporalPathEncoder::EncodeImpl(
 
 std::optional<nn::Var> TemporalPathEncoder::EncodeBatchImpl(
     const std::vector<PathTimeItem>& items,
-    const std::function<bool()>* cancelled) const {
+    const std::function<bool()>& cancelled) const {
   TPR_CHECK(!items.empty());
   const auto& network = *features_->data->network;
   const int B = static_cast<int>(items.size());
-  const auto is_cancelled = [cancelled] {
-    return cancelled != nullptr && *cancelled && (*cancelled)();
-  };
+  const auto is_cancelled = [&cancelled] { return cancelled && cancelled(); };
 
   if (is_cancelled()) return std::nullopt;
   std::vector<int> lengths(items.size());
@@ -218,16 +202,9 @@ std::optional<nn::Var> TemporalPathEncoder::EncodeBatchImpl(
 
 std::vector<std::vector<float>> TemporalPathEncoder::EncodeValueBatch(
     const std::vector<PathTimeItem>& items) const {
-  nn::NoGradGuard no_grad;
-  auto tprs = EncodeBatchImpl(items, /*cancelled=*/nullptr);
-  TPR_CHECK(tprs.has_value());  // never cancelled without a callback
-  const nn::Tensor& v = tprs->value();
-  std::vector<std::vector<float>> out(items.size());
-  for (size_t b = 0; b < items.size(); ++b) {
-    const float* row = v.data() + b * v.cols();
-    out[b].assign(row, row + v.cols());
-  }
-  return out;
+  auto out = EncodeValueBatchCancellable(items, /*cancelled=*/{});
+  TPR_CHECK(out.has_value());  // never cancelled without a callback
+  return *std::move(out);
 }
 
 std::optional<std::vector<std::vector<float>>>
@@ -235,7 +212,7 @@ TemporalPathEncoder::EncodeValueBatchCancellable(
     const std::vector<PathTimeItem>& items,
     const std::function<bool()>& cancelled) const {
   nn::NoGradGuard no_grad;
-  auto tprs = EncodeBatchImpl(items, &cancelled);
+  auto tprs = EncodeBatchImpl(items, cancelled);
   if (!tprs.has_value()) return std::nullopt;
   const nn::Tensor& v = tprs->value();
   std::vector<std::vector<float>> out(items.size());
@@ -251,16 +228,6 @@ std::vector<float> TemporalPathEncoder::EncodeValue(
   nn::NoGradGuard no_grad;
   const EncodedPath encoded = Encode(path, depart_time_s);
   const nn::Tensor& v = encoded.tpr.value();
-  return std::vector<float>(v.data(), v.data() + v.size());
-}
-
-std::optional<std::vector<float>> TemporalPathEncoder::EncodeValueCancellable(
-    const graph::Path& path, int64_t depart_time_s,
-    const std::function<bool()>& cancelled) const {
-  nn::NoGradGuard no_grad;
-  const auto encoded = EncodeImpl(path, depart_time_s, &cancelled);
-  if (!encoded.has_value()) return std::nullopt;
-  const nn::Tensor& v = encoded->tpr.value();
   return std::vector<float>(v.data(), v.data() + v.size());
 }
 

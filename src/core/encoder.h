@@ -85,27 +85,24 @@ class TemporalPathEncoder : public nn::Module {
   std::vector<float> EncodeValue(const graph::Path& path,
                                  int64_t depart_time_s) const;
 
-  /// Like EncodeValue, but polls `cancelled` between pipeline stages
-  /// (feature assembly, sequence model, aggregation/projection) and
+  /// Batched EncodeValue: encodes N (path, time) items through ONE
+  /// padded forward pass (one gate GEMM per LSTM step for the whole
+  /// batch) and returns one TPR per item, in order. Each returned
+  /// embedding is bitwise identical to the corresponding single
+  /// EncodeValue — under the scalar kernel by construction and under
+  /// avx2 by design (per-row accumulation order never depends on the
+  /// batch shape; see nn/padded_batch.h). tpr::serve answers every
+  /// request from this forward; batch_test pins the contract under the
+  /// scalar and the active kernel.
+  std::vector<std::vector<float>> EncodeValueBatch(
+      const std::vector<PathTimeItem>& items) const;
+
+  /// Like EncodeValueBatch, but polls `cancelled` (may be empty) between
+  /// pipeline stages (feature assembly, sequence model, aggregation) and
   /// returns nullopt as soon as it observes true. This is how
   /// tpr::serve propagates request deadlines into a forward pass that
   /// is already running: cancellation is cooperative and stage-granular,
   /// never mid-matmul.
-  std::optional<std::vector<float>> EncodeValueCancellable(
-      const graph::Path& path, int64_t depart_time_s,
-      const std::function<bool()>& cancelled) const;
-
-  /// Batched EncodeValue: encodes N (path, time) items through ONE
-  /// padded forward pass (one gate GEMM per LSTM step for the whole
-  /// batch) and returns one TPR per item, in order. Under the scalar
-  /// kernel each returned embedding is bitwise identical to the
-  /// corresponding single EncodeValue (see nn/padded_batch.h); the
-  /// batched serve pipeline and batch_test rely on this.
-  std::vector<std::vector<float>> EncodeValueBatch(
-      const std::vector<PathTimeItem>& items) const;
-
-  /// Cancellable batched variant; `cancelled` (may be empty) is polled
-  /// between pipeline stages, like EncodeValueCancellable.
   std::optional<std::vector<std::vector<float>>> EncodeValueBatchCancellable(
       const std::vector<PathTimeItem>& items,
       const std::function<bool()>& cancelled) const;
@@ -125,13 +122,6 @@ class TemporalPathEncoder : public nn::Module {
   int input_dim() const;
 
  private:
-  /// Shared pipeline behind Encode / EncodeValueCancellable. `cancelled`
-  /// may be null; when non-null it is polled between stages and a true
-  /// observation aborts the pass with nullopt.
-  std::optional<EncodedPath> EncodeImpl(
-      const graph::Path& path, int64_t depart_time_s,
-      const std::function<bool()>* cancelled) const;
-
   /// The frozen spatio-temporal input sequence for a path (T x input_dim
   /// minus the trainable categorical part, see Encode()).
   nn::Var BuildStaticFeatures(const graph::Path& path,
@@ -140,10 +130,10 @@ class TemporalPathEncoder : public nn::Module {
   /// Batched pipeline behind EncodeValueBatch*: assembles one padded
   /// time-major feature batch, runs the batched sequence model, and
   /// applies the masked aggregation. Returns the (batch x d_hidden) TPR
-  /// matrix, or nullopt on cancellation.
+  /// matrix, or nullopt once `cancelled` (may be empty) reports true.
   std::optional<nn::Var> EncodeBatchImpl(
       const std::vector<PathTimeItem>& items,
-      const std::function<bool()>* cancelled) const;
+      const std::function<bool()>& cancelled) const;
 
   std::shared_ptr<const FeatureSpace> features_;
   EncoderConfig config_;

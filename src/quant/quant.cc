@@ -39,7 +39,7 @@ FloatTable CopyTable(const nn::Tensor& t) {
 }
 
 /// Writes the T x input_dim fp32 feature rows for one path into `x` —
-/// the exact assembly of TemporalPathEncoder::EncodeImpl: [rt | lanes |
+/// the exact assembly of TemporalPathEncoder::Encode: [rt | lanes |
 /// oneway | signal | from | to | t_vec], with the same temporal vector
 /// on every row. `x` must hold path.size() * model.input_dim floats;
 /// the raw-pointer form lets the batched forward interleave many items

@@ -29,6 +29,15 @@ void SleepMs(double ms) {
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 
+batch::BatchConfig FormerConfig(const ServiceConfig& config) {
+  batch::BatchConfig bc;
+  bc.max_batch = config.batch_max;
+  bc.max_ticks = config.batch_ticks;
+  bc.coalesce = config.batch_coalesce;
+  bc.time_bucket_s = config.time_bucket_s;
+  return bc;
+}
+
 constexpr char kModelTag[] = "tpr-serve-model";
 
 }  // namespace
@@ -81,22 +90,15 @@ InferenceService::InferenceService(
     : features_(std::move(features)),
       encoder_config_(encoder_config),
       config_(ApplyQuantEnv(config)),
-      metrics_(config_.metrics_prefix) {
+      metrics_(config_.metrics_prefix),
+      // BatchFormer checks batch_max, batch_ticks and time_bucket_s > 0.
+      former_(FormerConfig(config_)) {
   TPR_CHECK(features_ != nullptr);
   TPR_CHECK(config_.num_workers > 0);
   TPR_CHECK(config_.queue_capacity > 0);
   TPR_CHECK(config_.max_retries >= 0);
-  TPR_CHECK(config_.time_bucket_s > 0);
   TPR_CHECK(config_.canary_permille >= 0 && config_.canary_permille <= 1000);
   TPR_CHECK(config_.canary_promote_after > 0);
-  if (config_.batch_max > 0) {
-    batch::BatchConfig bc;
-    bc.max_batch = config_.batch_max;
-    bc.max_ticks = config_.batch_ticks;
-    bc.coalesce = config_.batch_coalesce;
-    bc.time_bucket_s = config_.time_bucket_s;
-    former_ = std::make_unique<batch::BatchFormer>(bc);
-  }
 }
 
 ServiceConfig InferenceService::ApplyQuantEnv(ServiceConfig config) {
@@ -258,7 +260,7 @@ ServiceHealth InferenceService::Health() const {
   std::lock_guard<std::mutex> lock(mu_);
   ServiceHealth h;
   h.started = started_ && !stopping_;
-  h.queue_depth = static_cast<int>(queue_.size() + waiting_.size());
+  h.queue_depth = static_cast<int>(waiting_.size());
   h.canary_installed = canary_ != nullptr;
   if (live_ != nullptr) {
     h.generation = live_->generation;
@@ -342,58 +344,44 @@ Status InferenceService::Start() {
   stopping_ = false;
   workers_.reserve(static_cast<size_t>(config_.num_workers));
   for (int i = 0; i < config_.num_workers; ++i) {
-    if (former_ != nullptr) {
-      workers_.emplace_back([this] { BatchedWorkerLoop(); });
-    } else {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
   return Status::OK();
 }
 
 void InferenceService::Shutdown() {
-  std::deque<Request> orphaned;
-  std::unordered_map<uint64_t, Request> orphaned_waiting;
+  std::unordered_map<uint64_t, Request> orphaned;
   std::vector<std::thread> workers;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
-    // Claim the queue AND the worker threads under the lock so racing
-    // Shutdown calls (or Shutdown vs destructor) each join a disjoint —
-    // possibly empty — set of threads instead of double-joining.
-    orphaned.swap(queue_);
-    // Batched mode: every unprocessed request — pending in the former or
-    // sitting in a formed-but-unpopped batch — is still parked in
+    // Claim the unprocessed requests AND the worker threads under the
+    // lock so racing Shutdown calls (or Shutdown vs destructor) each join
+    // a disjoint — possibly empty — set of threads instead of
+    // double-joining. Every unprocessed request — pending in the former
+    // or sitting in a formed-but-unpopped batch — is still parked in
     // waiting_ (workers extract members atomically with the pop), so
     // failing waiting_ covers ready_'s batches too.
-    orphaned_waiting.swap(waiting_);
+    orphaned.swap(waiting_);
     ready_.clear();
     workers.swap(workers_);
   }
   not_empty_.notify_all();
   not_full_.notify_all();
-  const auto fail_unavailable = [](Request& req) {
-    ServeResult result;
+  for (auto& entry : orphaned) {
+    ServeResult result = entry.second.BaseResult();
     result.status = Status::Unavailable("service shutting down");
-    result.ticket = req.ticket;
-    if (req.gen != nullptr) result.generation = req.gen->generation;
-    result.canary = req.canary;
-    req.promise.set_value(std::move(result));
-  };
-  for (auto& req : orphaned) fail_unavailable(req);
-  for (auto& entry : orphaned_waiting) fail_unavailable(entry.second);
+    entry.second.promise.set_value(std::move(result));
+  }
   for (auto& t : workers) t.join();
   if (!workers.empty()) metrics_.gauge("serve.queue_depth").Set(0);
 }
 
 bool InferenceService::PredictRung0Skip(const Request& req) const {
-  if (fault::WouldFail(fault::kAlloc, MixSeed(kAllocSalt, req.query.id))) {
-    return true;
-  }
-  // Batched mode: an injected batch-flush drop degrades the request's
-  // whole group before any encode — like alloc, no rung-0 attempt.
-  return former_ != nullptr &&
-         fault::WouldFail(fault::kBatchFlush, req.group_key);
+  // An injected batch-flush drop degrades the request's whole group
+  // before any encode — like alloc, no rung-0 attempt.
+  return fault::WouldFail(fault::kAlloc, MixSeed(kAllocSalt, req.query.id)) ||
+         fault::WouldFail(fault::kBatchFlush, req.fault_key);
 }
 
 bool InferenceService::PredictRung0Failure(const Request& req) const {
@@ -402,13 +390,9 @@ bool InferenceService::PredictRung0Failure(const Request& req) const {
     // success nor a failure signal for the breaker.
     return false;
   }
-  // Batched mode keys the attempt verdicts by the group hash: every
-  // member of a group shares the batched encode, so they must share its
-  // failure pattern no matter which batch the group rides in.
-  const uint64_t base = former_ != nullptr ? req.group_key : req.query.id;
   for (int a = 0; a <= config_.max_retries; ++a) {
     if (!fault::WouldFail(fault::kEncoderForward,
-                          MixSeed(base, static_cast<uint64_t>(a)))) {
+                          MixSeed(req.fault_key, static_cast<uint64_t>(a)))) {
       return false;
     }
   }
@@ -511,18 +495,17 @@ void InferenceService::AdmitToGeneration(Request& req) {
       req.canary = true;
     }
   }
-  if (former_ != nullptr) {
-    // Batch-group identity. The pinned generation rides in the hash salt
-    // so a coalesced group is generation-homogeneous — exactly one model
-    // serves it — plus the ticket when coalescing is off (every request
-    // is its own group). Must mirror the salt Submit hands
-    // BatchFormer::Arrive.
-    const uint64_t salt = config_.batch_coalesce
-                              ? req.gen->generation
-                              : MixSeed(req.gen->generation, req.ticket);
-    req.group_key = batch::BatchFormer::GroupHash(
-        req.query.path, former_->EncodeTime(req.query.depart_time_s), salt);
-  }
+  // The fault key, decided once. A coalesced group shares one encode, so
+  // its members share the group hash — the pinned generation rides in
+  // its salt, so a group is generation-homogeneous, exactly as in the
+  // former. Without coalescing every request is its own group and keys
+  // by its id.
+  req.fault_key =
+      config_.batch_coalesce
+          ? batch::BatchFormer::GroupHash(
+                req.query.path, former_.EncodeTime(req.query.depart_time_s),
+                req.gen->generation)
+          : req.query.id;
   GenState& gen = *req.gen;
   if (fault::PlanActive()) {
     const bool tripped = BreakerAdmit(gen, req);
@@ -580,7 +563,7 @@ StatusOr<std::future<ServeResult>> InferenceService::Submit(
                               deadline_ms));
   }
   std::future<ServeResult> future = req.promise.get_future();
-  bool notify = true;
+  bool flushed_batch = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
     if (!started_ || stopping_) {
@@ -593,64 +576,44 @@ StatusOr<std::future<ServeResult>> InferenceService::Submit(
       metrics_.counter("serve.shed").Add(1);
       return Status::ResourceExhausted("queue full (injected)");
     }
-    if (former_ != nullptr) {
-      // Batched admission: the capacity bound covers every unprocessed
-      // request — pending in the former or waiting on a formed batch.
-      if (waiting_.size() >= static_cast<size_t>(config_.queue_capacity)) {
-        if (!config_.block_when_full) {
-          metrics_.counter("serve.shed").Add(1);
-          return Status::ResourceExhausted(
-              "queue full (" + std::to_string(waiting_.size()) + ")");
-        }
-        not_full_.wait(lock, [this] {
-          return stopping_ || waiting_.size() <
-                                  static_cast<size_t>(config_.queue_capacity);
-        });
-        if (stopping_) {
-          return Status::Unavailable("service shutting down");
-        }
+    // The capacity bound covers every unprocessed request — pending in
+    // the former or waiting on a formed batch.
+    if (waiting_.size() >= static_cast<size_t>(config_.queue_capacity)) {
+      if (!config_.block_when_full) {
+        metrics_.counter("serve.shed").Add(1);
+        return Status::ResourceExhausted(
+            "queue full (" + std::to_string(waiting_.size()) + ")");
       }
-      AdmitToGeneration(req);
-      const uint64_t ticket = req.ticket;
-      auto flushed =
-          former_->Arrive(ticket, req.query.path, req.query.depart_time_s,
-                          req.gen->generation);
-      waiting_.emplace(ticket, std::move(req));
-      // One logical tick per admission; ages partial batches out. An
-      // arrival can fill a batch OR age one out, never both (a size
-      // flush empties the former).
-      if (auto aged = former_->Tick()) {
-        TPR_CHECK(!flushed.has_value());
-        flushed = std::move(aged);
+      not_full_.wait(lock, [this] {
+        return stopping_ ||
+               waiting_.size() < static_cast<size_t>(config_.queue_capacity);
+      });
+      if (stopping_) {
+        return Status::Unavailable("service shutting down");
       }
-      metrics_.gauge("serve.queue_depth")
-          .Set(static_cast<double>(waiting_.size()));
-      // Wake a worker only when a batch actually flushed — idle workers
-      // otherwise drain partial batches prematurely.
-      notify = flushed.has_value();
-      if (flushed.has_value()) ready_.push_back(std::move(*flushed));
-    } else {
-      if (queue_.size() >= static_cast<size_t>(config_.queue_capacity)) {
-        if (!config_.block_when_full) {
-          metrics_.counter("serve.shed").Add(1);
-          return Status::ResourceExhausted(
-              "queue full (" + std::to_string(queue_.size()) + ")");
-        }
-        not_full_.wait(lock, [this] {
-          return stopping_ ||
-                 queue_.size() < static_cast<size_t>(config_.queue_capacity);
-        });
-        if (stopping_) {
-          return Status::Unavailable("service shutting down");
-        }
-      }
-      AdmitToGeneration(req);
-      queue_.push_back(std::move(req));
-      metrics_.gauge("serve.queue_depth")
-          .Set(static_cast<double>(queue_.size()));
+    }
+    AdmitToGeneration(req);
+    const uint64_t ticket = req.ticket;
+    auto flushed = former_.Arrive(ticket, req.query.path,
+                                  req.query.depart_time_s, req.gen->generation);
+    waiting_.emplace(ticket, std::move(req));
+    // One logical tick per admission; ages partial batches out. An
+    // arrival can fill a batch OR age one out, never both (a size flush
+    // empties the former).
+    if (auto aged = former_.Tick()) {
+      TPR_CHECK(!flushed.has_value());
+      flushed = std::move(aged);
+    }
+    metrics_.gauge("serve.queue_depth")
+        .Set(static_cast<double>(waiting_.size()));
+    if (flushed.has_value()) {
+      ready_.push_back(std::move(*flushed));
+      flushed_batch = true;
     }
   }
-  if (notify) not_empty_.notify_one();
+  // Wake a worker only when a batch actually flushed — idle workers
+  // otherwise drain partial batches prematurely.
+  if (flushed_batch) not_empty_.notify_one();
   return future;
 }
 
@@ -668,25 +631,6 @@ ServeResult InferenceService::SubmitAndWait(PathQuery query,
 void InferenceService::WorkerLoop() {
   fault::ScopedShard shard_scope(config_.shard);
   for (;;) {
-    Request req;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_empty_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_, queue drained by Shutdown
-      req = std::move(queue_.front());
-      queue_.pop_front();
-      metrics_.gauge("serve.queue_depth")
-          .Set(static_cast<double>(queue_.size()));
-    }
-    not_full_.notify_one();
-    ServeResult result = Process(req);
-    req.promise.set_value(std::move(result));
-  }
-}
-
-void InferenceService::BatchedWorkerLoop() {
-  fault::ScopedShard shard_scope(config_.shard);
-  for (;;) {
     batch::FormedBatch batch;
     std::vector<std::vector<Request>> members;
     {
@@ -699,8 +643,8 @@ void InferenceService::BatchedWorkerLoop() {
         const bool signalled = not_empty_.wait_for(
             lock, std::chrono::milliseconds(1),
             [this] { return stopping_ || !ready_.empty(); });
-        if (!signalled && ready_.empty() && former_->has_pending()) {
-          if (auto flushed = former_->FlushAll()) {
+        if (!signalled) {
+          if (auto flushed = former_.FlushAll()) {
             ready_.push_back(std::move(*flushed));
           }
         }
@@ -740,61 +684,50 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
   metrics_.counter("serve.batched_requests").Add(total);
   metrics_.counter("serve.batch_coalesced").Add(total - n_groups);
 
-  const auto base_result = [](const Request& req) {
-    ServeResult r;
-    r.ticket = req.ticket;
-    r.generation = req.gen->generation;
-    r.canary = req.canary;
-    return r;
-  };
-  const auto past_deadline = [](const Request& r) {
-    return r.has_deadline && std::chrono::steady_clock::now() >= r.deadline;
-  };
+  // Every member of a group carries the group's fault key, fixed at
+  // admission (AdmitToGeneration).
+  std::vector<uint64_t> keys(n_groups);
+  for (size_t gi = 0; gi < n_groups; ++gi) {
+    keys[gi] = members[gi].front().fault_key;
+  }
 
-  // Injected worker slowness, once per batch. Latency only — deadlines
-  // are outside the determinism contract in both pipelines.
-  SleepMs(fault::DelayMs(fault::kSlowWorker, batch.seq));
+  // Injected worker slowness, once per batch, keyed by its first group.
+  // Latency only — deadlines are outside the determinism contract.
+  SleepMs(fault::DelayMs(fault::kSlowWorker, keys.front()));
 
   // Resolve the fates decided before any encode: breaker-open skips,
   // injected scratch-alloc failures, and injected batch-flush drops (the
   // whole group degrades with no rung-0 attempt — like alloc, not a
   // breaker signal). Everyone else queues for the batched rung-0 ladder.
   std::vector<std::vector<Request*>> pending(n_groups);
+  std::vector<size_t> live;
+  live.reserve(n_groups);
   for (size_t gi = 0; gi < n_groups; ++gi) {
-    const bool flush_drop =
-        fault::ShouldFail(fault::kBatchFlush, batch.groups[gi].key_hash);
+    const bool flush_drop = fault::ShouldFail(fault::kBatchFlush, keys[gi]);
     for (Request& req : members[gi]) {
       if (req.skip_rung0 || flush_drop ||
           fault::ShouldFail(fault::kAlloc,
                             MixSeed(kAllocSalt, req.query.id))) {
-        req.promise.set_value(DegradedLadder(req, base_result(req), sw));
+        req.promise.set_value(DegradedLadder(req, req.BaseResult(), sw));
       } else {
         pending[gi].push_back(&req);
       }
     }
-  }
-  std::vector<size_t> live;
-  live.reserve(n_groups);
-  for (size_t gi = 0; gi < n_groups; ++gi) {
     if (!pending[gi].empty()) live.push_back(gi);
   }
 
-  // Rung 0, batched: the whole round's surviving groups go through ONE
-  // padded forward per model generation. The retry ladder matches the
-  // per-request pipeline, but verdicts and backoff jitter are keyed by
-  // the group hash — a pure function of the request, so its outcome is
-  // identical whichever batch it rode in.
+  // Rung 0: the whole round's surviving groups go through ONE padded
+  // forward per model generation, with retries. Verdicts and backoff
+  // jitter are keyed by the group's fault key — a pure function of the
+  // request, so its outcome is identical whichever batch it rode in.
   for (int a = 0; a <= config_.max_retries && !live.empty(); ++a) {
-    // Members out of time resolve before the attempt, mirroring the
-    // per-request ladder's top-of-attempt deadline check.
+    // Members out of time resolve before the attempt.
     for (size_t gi : live) {
       auto& mem = pending[gi];
       mem.erase(std::remove_if(mem.begin(), mem.end(),
                                [&](Request* r) {
-                                 if (!past_deadline(*r)) return false;
-                                 ServeResult res = DeadlineResult(*r);
-                                 res.attempts = a;
-                                 r->promise.set_value(std::move(res));
+                                 if (!r->expired()) return false;
+                                 r->promise.set_value(DeadlineResult(*r, a));
                                  return true;
                                }),
                 mem.end());
@@ -808,9 +741,8 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
     std::vector<size_t> failed;
     for (size_t gi : live) {
       if (a > 0) metrics_.counter("serve.retries").Add(1);
-      const uint64_t attempt_key =
-          MixSeed(batch.groups[gi].key_hash, static_cast<uint64_t>(a));
-      if (fault::ShouldFail(fault::kEncoderForward, attempt_key)) {
+      if (fault::ShouldFail(fault::kEncoderForward,
+                            MixSeed(keys[gi], static_cast<uint64_t>(a)))) {
         failed.push_back(gi);
       } else {
         ready.push_back(gi);
@@ -819,8 +751,9 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
 
     if (!ready.empty()) {
       // A batch may mix groups pinned to different generations
-      // (incumbent + canary — each group is generation-homogeneous by
-      // construction of its hash salt): one padded forward per model.
+      // (incumbent + canary — each group is generation-homogeneous: a
+      // coalesced group's hash salt is its generation, any other group
+      // is one request): one padded forward per model.
       std::vector<std::pair<GenState*, std::vector<size_t>>> parts;
       for (size_t gi : ready) {
         GenState* gen = pending[gi].front()->gen.get();
@@ -858,36 +791,20 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
             }
             return true;
           };
-        } else {
-          cancelled = [] { return false; };
         }
         auto encoded =
             gen->model->EncodeValueBatchCancellable(items, cancelled);
-        if (!encoded.has_value()) {
-          for (size_t i = 0; i < count; ++i) {
-            const size_t gi = gis[i];
-            for (Request* r : pending[gi]) {
-              ServeResult res = DeadlineResult(*r);
-              res.attempts = a + 1;
-              r->promise.set_value(std::move(res));
-            }
-            pending[gi].clear();
-          }
-          return;
-        }
         for (size_t i = 0; i < count; ++i) {
           const size_t gi = gis[i];
           for (Request* r : pending[gi]) {
-            if (past_deadline(*r)) {
-              ServeResult res = DeadlineResult(*r);
-              res.attempts = a + 1;
-              r->promise.set_value(std::move(res));
+            if (!encoded.has_value() || r->expired()) {
+              r->promise.set_value(DeadlineResult(*r, a + 1));
               continue;
             }
             if (!r->breaker_predicted) {
               BreakerRecord(*r->gen, true, r->breaker_probe);
             }
-            ServeResult res = base_result(*r);
+            ServeResult res = r->BaseResult();
             res.status = Status::OK();
             res.rung = Rung::kFull;
             res.attempts = a + 1;
@@ -933,17 +850,16 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
     }
 
     live = std::move(failed);
-    // Deterministic jittered backoff before the retry round: the failed
-    // groups retry together, so sleep once for the slowest group.
+    // Deterministic jittered exponential backoff before the retry round:
+    // the failed groups retry together, so sleep once for the slowest.
     if (!live.empty() && a < config_.max_retries) {
       const double base = std::min(
           config_.backoff_max_ms,
           config_.backoff_base_ms * static_cast<double>(1ULL << a));
       double delay = 0.0;
       for (size_t gi : live) {
-        const uint64_t attempt_key =
-            MixSeed(batch.groups[gi].key_hash, static_cast<uint64_t>(a));
-        Rng jitter(MixSeed(config_.seed, attempt_key));
+        Rng jitter(MixSeed(config_.seed,
+                           MixSeed(keys[gi], static_cast<uint64_t>(a))));
         delay = std::max(delay, base * (0.5 + 0.5 * jitter.Uniform()));
       }
       SleepMs(delay);
@@ -954,9 +870,10 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
   // rung-0 failure to its generation's breaker in observed mode. The
   // first step down is the GROUP-LEVEL quantized rung: one int8
   // EncodeValueBatch per group at the group encode time, verdict keyed
-  // by the group hash — the whole group serves quantized or the whole
-  // group falls through together (retry/breaker/deadline semantics
-  // untouched, and never a breaker signal).
+  // by the group's fault key — the whole group serves quantized or the
+  // whole group falls through together (retry/breaker/deadline
+  // semantics untouched, and never a breaker signal).
+  const int exhausted_attempts = config_.max_retries + 1;
   for (size_t gi : live) {
     for (Request* r : pending[gi]) {
       if (!r->breaker_predicted) {
@@ -965,23 +882,21 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
     }
     GenState* gen = pending[gi].front()->gen.get();
     if (config_.quantized_rung && gen->quant != nullptr &&
-        !fault::ShouldFail(fault::kQuantEncode, batch.groups[gi].key_hash)) {
+        !fault::ShouldFail(fault::kQuantEncode, keys[gi])) {
       const std::vector<core::PathTimeItem> items{
           {&batch.groups[gi].path, batch.groups[gi].encode_time_s}};
       const std::vector<std::vector<float>> encoded =
           gen->quant->EncodeValueBatch(items);
       for (Request* r : pending[gi]) {
-        if (past_deadline(*r)) {
-          ServeResult res = DeadlineResult(*r);
-          res.attempts = config_.max_retries + 1;
-          r->promise.set_value(std::move(res));
+        if (r->expired()) {
+          r->promise.set_value(DeadlineResult(*r, exhausted_attempts));
           continue;
         }
         metrics_.counter("serve.quant_hits").Add(1);
-        ServeResult res = base_result(*r);
+        ServeResult res = r->BaseResult();
         res.status = Status::OK();
         res.rung = Rung::kQuantized;
-        res.attempts = config_.max_retries + 1;
+        res.attempts = exhausted_attempts;
         res.embedding = encoded[0];
         ObserveRungLatency(Rung::kQuantized, sw.ElapsedSeconds());
         r->promise.set_value(std::move(res));
@@ -990,137 +905,41 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
     }
     for (Request* r : pending[gi]) {
       // The group-level quantized attempt is settled (twin absent or
-      // quant-encode verdict failed) — the per-request ladder must not
-      // re-try the rung.
+      // quant-encode verdict failed) — the ladder must not re-try it.
       r->quant_decided = true;
-      ServeResult res = base_result(*r);
-      res.attempts = config_.max_retries + 1;
+      ServeResult res = r->BaseResult();
+      res.attempts = exhausted_attempts;
       r->promise.set_value(DegradedLadder(*r, std::move(res), sw));
     }
   }
 }
 
-ServeResult InferenceService::Process(Request& req) {
-  Stopwatch sw;
-  ServeResult result;
-  result.ticket = req.ticket;
-  result.generation = req.gen->generation;
-  result.canary = req.canary;
-  const PathQuery& q = req.query;
-
-  // The generation was pinned at admission: model and cache reads are
-  // lock-free (both pointers are immutable after the slot is built), and
-  // a LoadModel/promotion racing past cannot tear this request.
-  const core::TemporalPathEncoder& model = *req.gen->model;
-
-  const auto deadline_passed = [&req] {
-    return req.has_deadline &&
-           std::chrono::steady_clock::now() >= req.deadline;
-  };
-  const std::function<bool()> cancelled = deadline_passed;
-  const auto deadline_result = [&] {
-    // A probe that times out reports failure so the breaker never waits
-    // on a probe that will not come back.
-    if (!req.breaker_predicted && req.breaker_probe) {
-      BreakerRecord(*req.gen, false, /*was_probe=*/true);
-    }
-    metrics_.counter("serve.deadline_exceeded").Add(1);
-    result.status = Status::DeadlineExceeded(
-        "deadline elapsed (ticket " + std::to_string(req.ticket) + ")");
-    return result;
-  };
-
-  // Injected worker slowness: the latency the ladder protects against.
-  SleepMs(fault::DelayMs(fault::kSlowWorker, q.id));
-
-  // Rung 0: full temporal encoder at the exact request time, with
-  // retries. Skipped when the breaker is open or the per-request scratch
-  // allocation "fails".
-  if (!req.skip_rung0 &&
-      !fault::ShouldFail(fault::kAlloc, MixSeed(kAllocSalt, q.id))) {
-    for (int a = 0; a <= config_.max_retries; ++a) {
-      if (deadline_passed()) return deadline_result();
-      result.attempts = a + 1;
-      if (a > 0) metrics_.counter("serve.retries").Add(1);
-      const uint64_t attempt_key = MixSeed(q.id, static_cast<uint64_t>(a));
-      if (!fault::ShouldFail(fault::kEncoderForward, attempt_key)) {
-        auto embedding =
-            model.EncodeValueCancellable(q.path, q.depart_time_s, cancelled);
-        if (!embedding.has_value()) return deadline_result();
-        if (!req.breaker_predicted) {
-          BreakerRecord(*req.gen, true, req.breaker_probe);
-        }
-        result.status = Status::OK();
-        result.rung = Rung::kFull;
-        result.embedding = *std::move(embedding);
-        ObserveRungLatency(result.rung, sw.ElapsedSeconds());
-        return result;
-      }
-      // Deterministic jittered exponential backoff before the retry.
-      if (a < config_.max_retries) {
-        const double base = std::min(
-            config_.backoff_max_ms,
-            config_.backoff_base_ms * static_cast<double>(1ULL << a));
-        Rng jitter(MixSeed(config_.seed, attempt_key));
-        SleepMs(base * (0.5 + 0.5 * jitter.Uniform()));
-      }
-    }
-    if (!req.breaker_predicted) {
-      BreakerRecord(*req.gen, false, req.breaker_probe);
-    }
-  }
-
-  return DegradedLadder(req, std::move(result), sw);
-}
-
-ServeResult InferenceService::DeadlineResult(Request& req) {
+ServeResult InferenceService::DeadlineResult(Request& req, int attempts) {
   // A probe that times out reports failure so the breaker never waits
   // on a probe that will not come back.
   if (!req.breaker_predicted && req.breaker_probe) {
     BreakerRecord(*req.gen, false, /*was_probe=*/true);
   }
   metrics_.counter("serve.deadline_exceeded").Add(1);
-  ServeResult result;
-  result.ticket = req.ticket;
-  result.generation = req.gen->generation;
-  result.canary = req.canary;
+  ServeResult result = req.BaseResult();
   result.status = Status::DeadlineExceeded(
       "deadline elapsed (ticket " + std::to_string(req.ticket) + ")");
+  result.attempts = attempts;
   return result;
 }
 
 ServeResult InferenceService::DegradedLadder(Request& req, ServeResult result,
                                              const Stopwatch& sw) {
   const PathQuery& q = req.query;
-  const core::TemporalPathEncoder& model = *req.gen->model;
-  EmbeddingLruCache& cache = *req.gen->cache;
-
-  const auto deadline_passed = [&req] {
-    return req.has_deadline &&
-           std::chrono::steady_clock::now() >= req.deadline;
-  };
-  const std::function<bool()> cancelled = deadline_passed;
-  const auto deadline_result = [&] {
-    if (!req.breaker_predicted && req.breaker_probe) {
-      BreakerRecord(*req.gen, false, /*was_probe=*/true);
-    }
-    metrics_.counter("serve.deadline_exceeded").Add(1);
-    result.status = Status::DeadlineExceeded(
-        "deadline elapsed (ticket " + std::to_string(req.ticket) + ")");
-    return result;
-  };
 
   // Rung 1: int8-quantized twin at the EXACT request time — the cheap
   // path that still honours the paper's departure-time conditioning.
-  // Fault verdicts key by the group hash in batched mode (the group
-  // shares one encode, so it must share one verdict) and by the request
-  // id otherwise. Never a breaker signal: the breaker describes the
-  // fp32 model's health.
+  // The verdict keys by the request's fault key, like rung 0. Never a
+  // breaker signal: the breaker describes the fp32 model's health.
   if (config_.quantized_rung && req.gen->quant != nullptr &&
       !req.quant_decided) {
-    if (deadline_passed()) return deadline_result();
-    const uint64_t quant_key = former_ != nullptr ? req.group_key : q.id;
-    if (!fault::ShouldFail(fault::kQuantEncode, quant_key)) {
+    if (req.expired()) return DeadlineResult(req, result.attempts);
+    if (!fault::ShouldFail(fault::kQuantEncode, req.fault_key)) {
       metrics_.counter("serve.quant_hits").Add(1);
       result.status = Status::OK();
       result.rung = Rung::kQuantized;
@@ -1134,11 +953,12 @@ ServeResult InferenceService::DegradedLadder(Request& req, ServeResult result,
   // representative time, so every request mapping to the key sees the
   // same bytes whether it hits or recomputes. Rung-0 successes never
   // populate this cache: they are exact-time embeddings and would make
-  // the cached bytes depend on which request got there first. (Batched
-  // rung-0 successes don't populate it either: a coalesced group encodes
-  // at the bucket-representative time, but routing them through the same
-  // no-Put rule keeps the cache's provenance single-sourced.)
-  if (deadline_passed()) return deadline_result();
+  // the cached bytes depend on which request got there first. (A
+  // coalesced group encodes at the bucket-representative time, but
+  // routing it through the same no-Put rule keeps the cache's
+  // provenance single-sourced.)
+  if (req.expired()) return DeadlineResult(req, result.attempts);
+  EmbeddingLruCache& cache = *req.gen->cache;
   int64_t bucket = 0;
   const std::string key = CacheKey(q, &bucket);
   if (auto hit = cache.Get(key)) {
@@ -1157,19 +977,20 @@ ServeResult InferenceService::DegradedLadder(Request& req, ServeResult result,
       MixSeed(kCacheSalt, std::hash<std::string>{}(key));
   if (!fault::ShouldFail(fault::kEncoderForward, cache_fault_key)) {
     const int64_t bucket_time = bucket * config_.time_bucket_s;
-    auto embedding =
-        model.EncodeValueCancellable(q.path, bucket_time, cancelled);
-    if (!embedding.has_value()) return deadline_result();
-    cache.Put(key, *embedding);
+    auto encoded = req.gen->model->EncodeValueBatchCancellable(
+        {core::PathTimeItem{&q.path, bucket_time}},
+        [&req] { return req.expired(); });
+    if (!encoded.has_value()) return DeadlineResult(req, result.attempts);
+    cache.Put(key, encoded->front());
     result.status = Status::OK();
     result.rung = Rung::kCached;
-    result.embedding = *std::move(embedding);
+    result.embedding = std::move(encoded->front());
     ObserveRungLatency(result.rung, sw.ElapsedSeconds());
     return result;
   }
 
   // Rung 3: frozen node2vec mean-pool. Pure arithmetic — always succeeds.
-  if (deadline_passed()) return deadline_result();
+  if (req.expired()) return DeadlineResult(req, result.attempts);
   result.status = Status::OK();
   result.rung = Rung::kFallback;
   result.embedding = FallbackEmbedding(q);

@@ -4,19 +4,23 @@
 // In-process embedding inference service over the trained WSCCL temporal
 // path encoder.
 //
-// Requests enter a bounded queue guarded by admission control (shed or
-// block when full), are processed by dedicated worker threads, and carry
-// an optional deadline that is propagated into the encoder forward pass
-// as cooperative cancellation. Transient rung-0 failures are retried
-// with deterministic jittered exponential backoff; sustained failure
-// trips a per-model-generation circuit breaker. Every request that is
-// admitted resolves — in the worst case via the degradation ladder:
+// Requests pass admission control (shed or block when the bounded
+// backlog of unprocessed requests is full), are grouped into batches by
+// a deterministic tpr::batch::BatchFormer, and are processed by
+// dedicated worker threads. Each carries an optional deadline that is
+// propagated into the encoder forward pass as cooperative cancellation.
+// Transient rung-0 failures are retried with deterministic jittered
+// exponential backoff; sustained failure trips a per-model-generation
+// circuit breaker. Every request that is admitted resolves — in the
+// worst case via the degradation ladder:
 //
-//   rung 0 (kFull)      full temporal encoder at the exact request time
+//   rung 0 (kFull)      full temporal encoder at the group encode time
+//                       (the exact request time unless coalescing)
 //   rung 1 (kQuantized) int8 post-training-quantized twin of the pinned
-//                       generation at the exact request time (per-request
-//                       path) or the group encode time (batched path) —
-//                       keeps the temporal signal at ~4x smaller weights
+//                       generation at the exact request time (or, for a
+//                       coalesced group whose rung 0 is exhausted, at the
+//                       group encode time) — keeps the temporal signal
+//                       at ~4x smaller weights
 //   rung 2 (kCached)    LRU-cached embedding keyed by (path, time bucket),
 //                       computed at the bucket-representative time
 //   rung 3 (kFallback)  node2vec mean-pool over the path's edge endpoint
@@ -26,21 +30,30 @@
 // twin (published by tpr::rollout, or loaded from the quant-<seq>.q8
 // artifact beside the checkpoint) and ServiceConfig::quantized_rung is
 // on (TPR_QUANT=0/off force-disables it). Its fault site is
-// "quant-encode", keyed per request by id and per batch group by the
-// group hash, so outage plans can fail rung 0 (encoder-forward) while
-// the int8 rung keeps answering — and a quant-encode fault degrades a
-// whole batched group at once, like batch-flush does for rung 0.
+// "quant-encode", keyed by the request's fault key (below), so outage
+// plans can fail rung 0 (encoder-forward) while the int8 rung keeps
+// answering — and a quant-encode fault degrades a whole coalesced group
+// at once, like batch-flush does for rung 0.
 // Quantized failures are NEVER breaker signals: the breaker describes
 // the fp32 model's health only.
 //
-// Micro-batching. With ServiceConfig::batch_max > 0 the pipeline runs
-// batched: admissions feed a deterministic tpr::batch::BatchFormer
-// (flush by size or logical-ticks age, duplicate (path, time-bucket,
-// generation) keys coalesced into one encode) and workers run each
-// flushed batch through ONE padded rung-0 forward per model generation.
-// Every request keeps its own deadline, retry accounting, breaker fold,
-// and canary routing; rung-0 fault verdicts are keyed by the batch-group
-// hash so a request's outcome never depends on which batch it rode in.
+// Micro-batching. There is one pipeline: admissions feed the former
+// (flush by size or logical-ticks age) and workers run each flushed
+// batch through ONE padded rung-0 forward per model generation.
+// batch_max = 1 (the default) is the per-request mode: every request is
+// its own group, encoded at its exact departure time and flushed on
+// arrival. A larger batch_max batches up to that many groups per
+// forward; batch_coalesce (opt-in) also folds duplicate (path,
+// time-bucket, generation) keys into one encode at the
+// bucket-representative time. Every request keeps its own deadline,
+// retry accounting, breaker fold, and canary routing.
+//
+// Fault keys. Each request's fault key is fixed at admission: its id,
+// or — when coalescing — its group hash (the members of a group share
+// one encode, so they share its verdicts). Rung-0 attempt verdicts,
+// backoff jitter, and the batch-flush and quant-encode verdicts all key
+// off it, so a request's outcome never depends on which batch it rode
+// in.
 //
 // Generations. The service holds up to TWO live model generations — the
 // incumbent and an optional canary — each with its own rung-2 cache,
@@ -65,7 +78,8 @@
 // generation, embedding bytes) outcome of every request — and every
 // canary promotion/rollback decision — is identical across runs and
 // worker counts. This falls out of four choices: fault verdicts are
-// keyed by request id (never by wall clock or thread), cache values are
+// keyed by the request's fault key (never by wall clock, thread, or
+// batch membership), cache values are
 // pure functions of the cache key (so hit vs recompute is invisible),
 // the circuit breaker folds keyed failure *predictions* in admission
 // order rather than observed completions in race order, and canary
@@ -169,20 +183,20 @@ struct ServiceConfig {
   int canary_permille = 200;
   /// Clean rung-0 canary requests that promote the canary to incumbent.
   int canary_promote_after = 64;
-  /// Micro-batching. >0 switches the pipeline to batched mode: Submit
-  /// feeds a deterministic BatchFormer (tpr::batch) instead of the
-  /// per-request queue, and workers run whole batches through ONE padded
-  /// encoder forward. 0 (default) keeps the legacy per-request pipeline.
-  /// Deadline/retry/breaker/canary semantics are preserved per request
-  /// either way; in batched mode the rung-0 fault verdicts are keyed by
-  /// the request's batch-group hash, so outcomes stay independent of
-  /// batch composition (see tpr::batch).
-  int batch_max = 0;
+  /// Micro-batching: the size-flush threshold in distinct groups per
+  /// batch, which is also the padded GEMM width. 1 (default) is the
+  /// per-request mode: every request flushes on arrival as a batch of
+  /// one. Must be >= 1. Deadline/retry/breaker/canary semantics are per
+  /// request at any size (see tpr::batch).
+  int batch_max = 1;
   /// Age-flush threshold in logical ticks (one tick per admission).
   int batch_ticks = 128;
-  /// Coalesce duplicate (path, time-bucket, generation) requests into one
-  /// encode whose result fans out to all waiters.
-  bool batch_coalesce = true;
+  /// Opt-in: coalesce duplicate (path, time-bucket, generation) requests
+  /// into one encode at the bucket-representative time whose result
+  /// fans out to all waiters; their fault verdicts key by the group
+  /// hash. Off (default), every request encodes at its exact departure
+  /// time and its verdicts key by its id.
+  bool batch_coalesce = false;
   /// Serve the int8 rung when the pinned generation carries a quantized
   /// twin. Force-disabled process-wide by TPR_QUANT=0/off (checked once
   /// at service construction).
@@ -209,7 +223,7 @@ struct ServiceConfig {
 struct ServiceHealth {
   bool started = false;
   uint64_t generation = 0;       // incumbent model generation (0 = none)
-  int queue_depth = 0;           // queued + batch-waiting requests
+  int queue_depth = 0;           // admitted, not yet taken by a worker
   int breaker_state = 0;         // 0 closed, 1 open, 2 half-open
   int consecutive_failures = 0;  // incumbent rung-0 failures folded
   bool canary_installed = false;
@@ -369,15 +383,26 @@ class InferenceService {
     bool skip_rung0 = false;       // breaker-open: straight to rung 1
     bool breaker_predicted = false;  // outcome already folded at admission
     bool breaker_probe = false;      // observed-mode half-open probe
-    // Batched mode: the request's batch-group hash, computed at admission
-    // from (path, encode time, pinned generation). Keys the batched fault
-    // verdicts so outcomes are independent of batch composition.
-    uint64_t group_key = 0;
-    // Batched mode: the group-level quantized attempt already ran (and
-    // failed) for this request's group, so DegradedLadder must not try
-    // the rung again per-request.
+    // Keys every fault verdict of the request (see the header comment):
+    // the id, or the group hash when coalescing. Fixed at admission.
+    uint64_t fault_key = 0;
+    // The group-level quantized attempt already ran (and failed) for
+    // this request's group, so DegradedLadder must not try the rung
+    // again per-request.
     bool quant_decided = false;
     std::promise<ServeResult> promise;
+
+    bool expired() const {
+      return has_deadline && std::chrono::steady_clock::now() >= deadline;
+    }
+    /// An outcome carrying this request's identity fields.
+    ServeResult BaseResult() const {
+      ServeResult r;
+      r.ticket = ticket;
+      r.generation = gen->generation;
+      r.canary = canary;
+      return r;
+    }
   };
 
   /// Builds a fresh generation slot (fresh breaker, empty cache).
@@ -387,17 +412,17 @@ class InferenceService {
       std::shared_ptr<const quant::QuantizedEncoder> quant) const;
 
   /// Pure prediction: will this request degrade WITHOUT a rung-0 attempt
-  /// (injected scratch-alloc failure, or — batched mode — an injected
-  /// batch-flush drop of its group)? Neither counts as a breaker signal.
+  /// (injected scratch-alloc failure, or an injected batch-flush drop of
+  /// its group)? Neither counts as a breaker signal.
   bool PredictRung0Skip(const Request& req) const;
 
   /// Pure prediction: will every rung-0 attempt of this request fail
   /// under the active fault plan? (p-mode sites only; see fault.h.)
-  /// Batched mode keys the attempts by the request's group hash.
   bool PredictRung0Failure(const Request& req) const;
 
-  /// Admission-time routing + breaker fold + canary resolution for the
-  /// pinned generation; decides skip_rung0. Caller holds mu_.
+  /// Admission-time routing + fault key + breaker fold + canary
+  /// resolution for the pinned generation; decides skip_rung0. Caller
+  /// holds mu_.
   void AdmitToGeneration(Request& req);
 
   /// Predictive breaker fold (active fault plan). Caller holds mu_.
@@ -412,26 +437,24 @@ class InferenceService {
   /// slot, rollback drops it. Queues the resolution. Caller holds mu_.
   void ResolveCanaryLocked(CanaryVerdict verdict, const std::string& reason);
 
+  /// Workers pop formed batches, extract their member requests from
+  /// waiting_, and run each batch through ONE padded encoder forward per
+  /// model generation. A worker that finds nothing ready for ~1ms drains
+  /// the former's partial batch (idle flush) — a wall-clock race that
+  /// changes which batch a request rides in but never its outcome
+  /// (verdicts are keyed by fault key).
   void WorkerLoop();
-  ServeResult Process(Request& req);
-
-  /// Batched pipeline (batch_max > 0). Workers pop formed batches,
-  /// extract their member requests from waiting_, and run each batch
-  /// through ONE padded encoder forward per model generation. A worker
-  /// that finds nothing ready for ~1ms drains the former's partial batch
-  /// (idle flush) — a wall-clock race that changes which batch a request
-  /// rides in but never its outcome (verdicts are group-keyed).
-  void BatchedWorkerLoop();
   void ProcessBatch(batch::FormedBatch& batch,
                     std::vector<std::vector<Request>>& members);
 
-  /// DeadlineExceeded outcome for `req` (reports a timed-out half-open
-  /// probe as failure so the breaker never waits on it).
-  ServeResult DeadlineResult(Request& req);
+  /// DeadlineExceeded outcome for `req` after `attempts` rung-0 attempts
+  /// (reports a timed-out half-open probe as failure so the breaker
+  /// never waits on it).
+  ServeResult DeadlineResult(Request& req, int attempts);
 
-  /// Rungs 1-3 of the ladder (quantized -> cache -> fallback), shared by
-  /// the per-request and batched pipelines. `result` carries the
-  /// identity fields and the rung-0 attempt count already made.
+  /// Rungs 1-3 of the ladder (quantized -> cache -> fallback). `result`
+  /// carries the identity fields and the rung-0 attempt count already
+  /// made.
   ServeResult DegradedLadder(Request& req, ServeResult result,
                              const Stopwatch& sw);
 
@@ -453,14 +476,13 @@ class InferenceService {
   const ServiceConfig config_;
   const obs::MetricScope metrics_;  // prefix = config_.metrics_prefix
 
-  mutable std::mutex mu_;  // queue + tickets + generation slots/breakers
+  mutable std::mutex mu_;  // batches + tickets + generation slots/breakers
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  std::deque<Request> queue_;
-  // Batched mode (batch_max > 0): the former collects admissions into
-  // groups, waiting_ parks the admitted requests by ticket until their
-  // batch flushes into ready_. All guarded by mu_.
-  std::unique_ptr<batch::BatchFormer> former_;
+  // The former collects admissions into groups, waiting_ parks the
+  // admitted requests by ticket until their batch flushes into ready_.
+  // All guarded by mu_.
+  batch::BatchFormer former_;
   std::unordered_map<uint64_t, Request> waiting_;
   std::deque<batch::FormedBatch> ready_;
   std::shared_ptr<GenState> live_;    // incumbent; null before install

@@ -203,7 +203,17 @@ TEST(BatchFormerTest, FromEnvReadsOverridesAndIgnoresGarbage) {
   cfg = batch::FromEnv();
   EXPECT_EQ(cfg.max_batch, dflt.max_batch);
   EXPECT_EQ(cfg.max_ticks, dflt.max_ticks);
+  // Out of range — below 1 or above INT_MAX — is garbage too: the
+  // former would reject it at construction.
+  for (const char* bad : {"0", "-3", "99999999999"}) {
+    ::setenv("TPR_BATCH_MAX", bad, 1);
+    ::setenv("TPR_BATCH_TICKS", bad, 1);
+    cfg = batch::FromEnv();
+    EXPECT_EQ(cfg.max_batch, dflt.max_batch) << bad;
+    EXPECT_EQ(cfg.max_ticks, dflt.max_ticks) << bad;
+  }
   ::unsetenv("TPR_BATCH_MAX");
+  ::unsetenv("TPR_BATCH_TICKS");
 }
 
 // ---------------------------------------------------------------------------
@@ -370,6 +380,7 @@ class BatchTest : public ::testing::Test {
     cfg.time_bucket_s = 600;
     cfg.batch_max = 8;
     cfg.batch_ticks = 4;
+    cfg.batch_coalesce = true;
     return cfg;
   }
 
@@ -432,25 +443,31 @@ std::shared_ptr<const FeatureSpace>* BatchTest::features_ = nullptr;
 TEST_F(BatchTest, EncodeValueBatchIsBitwiseEqualToSingleEncodes) {
   // The acceptance assertion: one padded batched forward returns, for
   // every item, exactly the bytes of an independent single encode —
-  // across both sequence models and all three aggregations.
-  ScopedKernel scalar(kern::Kernel::kScalar);
-  for (core::SequenceModel model :
-       {core::SequenceModel::kLstm, core::SequenceModel::kTransformer}) {
-    for (core::Aggregation agg :
-         {core::Aggregation::kMean, core::Aggregation::kMax,
-          core::Aggregation::kLast}) {
-      core::EncoderConfig cfg = TinyEncoder();
-      cfg.sequence_model = model;
-      cfg.aggregation = agg;
-      TemporalPathEncoder encoder(features(), cfg);
-      const std::vector<core::PathTimeItem> items = Items(6);
-      const auto batch = encoder.EncodeValueBatch(items);
-      ASSERT_EQ(batch.size(), items.size());
-      for (size_t i = 0; i < items.size(); ++i) {
-        EXPECT_EQ(batch[i], encoder.EncodeValue(*items[i].path,
-                                                items[i].depart_time_s))
-            << "item " << i << " model " << static_cast<int>(model)
-            << " aggregation " << static_cast<int>(agg);
+  // across both sequence models and all three aggregations, under the
+  // scalar kernel AND the active one (every serve request is answered
+  // by the batched forward, and serve_test compares it to EncodeValue
+  // under whatever kernel is active).
+  for (kern::Kernel kernel : {kern::Kernel::kScalar, kern::ActiveKernel()}) {
+    ScopedKernel pinned(kernel);
+    for (core::SequenceModel model :
+         {core::SequenceModel::kLstm, core::SequenceModel::kTransformer}) {
+      for (core::Aggregation agg :
+           {core::Aggregation::kMean, core::Aggregation::kMax,
+            core::Aggregation::kLast}) {
+        core::EncoderConfig cfg = TinyEncoder();
+        cfg.sequence_model = model;
+        cfg.aggregation = agg;
+        TemporalPathEncoder encoder(features(), cfg);
+        const std::vector<core::PathTimeItem> items = Items(6);
+        const auto batch = encoder.EncodeValueBatch(items);
+        ASSERT_EQ(batch.size(), items.size());
+        for (size_t i = 0; i < items.size(); ++i) {
+          EXPECT_EQ(batch[i], encoder.EncodeValue(*items[i].path,
+                                                  items[i].depart_time_s))
+              << "item " << i << " kernel " << kern::KernelName(kernel)
+              << " model " << static_cast<int>(model) << " aggregation "
+              << static_cast<int>(agg);
+        }
       }
     }
   }

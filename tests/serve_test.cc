@@ -215,19 +215,6 @@ TEST_F(ServeTest, FullRungMatchesTheEncoderExactly) {
   EXPECT_EQ(static_cast<int>(r.embedding.size()), svc.representation_dim());
 }
 
-TEST_F(ServeTest, CancellableEncodeMatchesAndHonoursCancellation) {
-  TemporalPathEncoder encoder(features(), TinyEncoder());
-  const PathQuery q = Query(0, 1);
-  auto full = encoder.EncodeValueCancellable(q.path, q.depart_time_s,
-                                             [] { return false; });
-  ASSERT_TRUE(full.has_value());
-  EXPECT_EQ(*full, encoder.EncodeValue(q.path, q.depart_time_s));
-  EXPECT_FALSE(encoder
-                   .EncodeValueCancellable(q.path, q.depart_time_s,
-                                           [] { return true; })
-                   .has_value());
-}
-
 // ---------------------------------------------------------------------------
 // Model lifecycle through the checkpoint layer.
 // ---------------------------------------------------------------------------
