@@ -37,7 +37,7 @@
 //   single          — batch_max=1 (one encode per request), the
 //                     throughput baseline.
 //   batched         — batch_max from TPR_BATCH_MAX (default 32) with
-//                     coalescing on: padded batch forwards plus
+//                     coalescing on: packed batch forwards plus
 //                     duplicate-key coalescing. The
 //                     derived serve.batched.speedup_vs_single and
 //                     serve.batched.p99_gain ratios feed the

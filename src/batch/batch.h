@@ -44,7 +44,7 @@ namespace tpr::batch {
 
 struct BatchConfig {
   /// Size flush threshold: maximum distinct groups per batch (also the
-  /// padded GEMM width). Coalesced waiters do not count extra.
+  /// most items one encode packs). Coalesced waiters do not count extra.
   int max_batch = 32;
   /// Age flush threshold in logical ticks. One tick fires per admission,
   /// so this also bounds how many requests an unfilled batch can absorb:

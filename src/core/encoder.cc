@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/inference_plan.h"
 #include "graph/road_network.h"
 #include "util/logging.h"
 
@@ -118,88 +119,6 @@ EncodedPath TemporalPathEncoder::Encode(const graph::Path& path,
   return out;
 }
 
-std::optional<nn::Var> TemporalPathEncoder::EncodeBatchImpl(
-    const std::vector<PathTimeItem>& items,
-    const std::function<bool()>& cancelled) const {
-  TPR_CHECK(!items.empty());
-  const auto& network = *features_->data->network;
-  const int B = static_cast<int>(items.size());
-  const auto is_cancelled = [&cancelled] { return cancelled && cancelled(); };
-
-  if (is_cancelled()) return std::nullopt;
-  std::vector<int> lengths(items.size());
-  int max_len = 0;
-  for (int b = 0; b < B; ++b) {
-    TPR_CHECK(items[b].path != nullptr && !items[b].path->empty());
-    lengths[b] = static_cast<int>(items[b].path->size());
-    max_len = std::max(max_len, lengths[b]);
-  }
-  const int rows = max_len * B;
-
-  // Time-major categorical ids: row t*B + b describes edge t of path b.
-  // Padding rows use id 0 (a valid table row); their lookups are
-  // discarded by the masked aggregation, never read.
-  std::vector<int> rt_ids(rows, 0), lane_ids(rows, 0), ow_ids(rows, 0),
-      ts_ids(rows, 0);
-  const int d_road = features_->config.road_embedding_dim;
-  const int d_topo = 2 * d_road;
-  const int d_tem =
-      config_.use_temporal ? features_->config.temporal_embedding_dim : 0;
-  // Zero-initialised so padding rows carry zeros.
-  nn::Tensor static_features(rows, d_topo + d_tem);
-  for (int b = 0; b < B; ++b) {
-    const graph::Path& path = *items[b].path;
-    const int t_node = features_->TemporalNodeFor(items[b].depart_time_s);
-    const auto& t_vec = features_->temporal_embeddings[t_node];
-    for (int t = 0; t < lengths[b]; ++t) {
-      const int r = t * B + b;
-      const auto& e = network.edge(path[t]);
-      rt_ids[r] = static_cast<int>(e.road_type);
-      lane_ids[r] = e.num_lanes - 1;
-      ow_ids[r] = e.one_way ? 1 : 0;
-      ts_ids[r] = e.has_signal ? 1 : 0;
-      const auto& from_vec = features_->road_embeddings[e.from];
-      const auto& to_vec = features_->road_embeddings[e.to];
-      float* row = static_features.data() +
-                   static_cast<size_t>(r) * (d_topo + d_tem);
-      std::copy(from_vec.begin(), from_vec.end(), row);
-      std::copy(to_vec.begin(), to_vec.end(), row + d_road);
-      if (config_.use_temporal) {
-        std::copy(t_vec.begin(), t_vec.end(), row + d_topo);
-      }
-    }
-  }
-
-  nn::PaddedBatch pb;
-  pb.data = nn::ConcatCols(
-      {road_type_emb_->Forward(rt_ids), lanes_emb_->Forward(lane_ids),
-       oneway_emb_->Forward(ow_ids), signal_emb_->Forward(ts_ids),
-       nn::Var::Leaf(std::move(static_features))});
-  pb.lengths = std::move(lengths);
-  pb.batch = B;
-  pb.max_len = max_len;
-
-  if (is_cancelled()) return std::nullopt;
-  const nn::PaddedBatch edge_reps = lstm_ != nullptr
-                                        ? lstm_->ForwardBatch(pb)
-                                        : transformer_->ForwardBatch(pb);
-  if (is_cancelled()) return std::nullopt;
-  switch (config_.aggregation) {
-    case Aggregation::kMean:
-      return nn::SequenceMeanBatch(edge_reps.data, edge_reps.lengths);
-    case Aggregation::kMax:
-      return nn::SequenceMaxBatch(edge_reps.data, edge_reps.lengths);
-    case Aggregation::kLast: {
-      std::vector<int> last(edge_reps.batch);
-      for (int b = 0; b < edge_reps.batch; ++b) {
-        last[b] = (edge_reps.lengths[b] - 1) * B + b;
-      }
-      return nn::Gather(edge_reps.data, last);
-    }
-  }
-  return std::nullopt;  // unreachable
-}
-
 std::vector<std::vector<float>> TemporalPathEncoder::EncodeValueBatch(
     const std::vector<PathTimeItem>& items) const {
   auto out = EncodeValueBatchCancellable(items, /*cancelled=*/{});
@@ -211,16 +130,42 @@ std::optional<std::vector<std::vector<float>>>
 TemporalPathEncoder::EncodeValueBatchCancellable(
     const std::vector<PathTimeItem>& items,
     const std::function<bool()>& cancelled) const {
-  nn::NoGradGuard no_grad;
-  auto tprs = EncodeBatchImpl(items, cancelled);
-  if (!tprs.has_value()) return std::nullopt;
-  const nn::Tensor& v = tprs->value();
-  std::vector<std::vector<float>> out(items.size());
-  for (size_t b = 0; b < items.size(); ++b) {
-    const float* row = v.data() + b * v.cols();
-    out[b].assign(row, row + v.cols());
+  if (lstm_ == nullptr) {
+    // Transformer encoders serve nothing; they encode item by item.
+    std::vector<std::vector<float>> out;
+    out.reserve(items.size());
+    for (const PathTimeItem& item : items) {
+      if (cancelled && cancelled()) return std::nullopt;
+      TPR_CHECK(item.path != nullptr);
+      out.push_back(EncodeValue(*item.path, item.depart_time_s));
+    }
+    return out;
   }
-  return out;
+  // Wired on every call: CopyParamsFrom and checkpoint loads replace
+  // the parameter tensors.
+  InferencePlan plan;
+  plan.features = features_.get();
+  plan.aggregation = config_.aggregation;
+  plan.use_temporal = config_.use_temporal;
+  plan.d_hidden = config_.d_hidden;
+  const auto table = [](const nn::Embedding& emb) {
+    const nn::Tensor& t = emb.table().value();
+    return PlanTable{t.data(), t.rows(), t.cols()};
+  };
+  plan.road_type = table(*road_type_emb_);
+  plan.lanes = table(*lanes_emb_);
+  plan.oneway = table(*oneway_emb_);
+  plan.signal = table(*signal_emb_);
+  // Lstm::Parameters() is {w_ih, w_hh, bias} per layer.
+  const std::vector<nn::Var> params = lstm_->Parameters();
+  for (size_t i = 0; i < params.size(); i += 3) {
+    PlanLayer layer;
+    layer.w_ih = params[i].value().data();
+    layer.w_hh = params[i + 1].value().data();
+    layer.bias = params[i + 2].value().data();
+    plan.layers.push_back(layer);
+  }
+  return plan.Encode(items, cancelled);
 }
 
 std::vector<float> TemporalPathEncoder::EncodeValue(

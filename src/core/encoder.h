@@ -85,24 +85,20 @@ class TemporalPathEncoder : public nn::Module {
   std::vector<float> EncodeValue(const graph::Path& path,
                                  int64_t depart_time_s) const;
 
-  /// Batched EncodeValue: encodes N (path, time) items through ONE
-  /// padded forward pass (one gate GEMM per LSTM step for the whole
-  /// batch) and returns one TPR per item, in order. Each returned
-  /// embedding is bitwise identical to the corresponding single
-  /// EncodeValue — under the scalar kernel by construction and under
-  /// avx2 by design (per-row accumulation order never depends on the
-  /// batch shape; see nn/padded_batch.h). tpr::serve answers every
-  /// request from this forward; batch_test pins the contract under the
-  /// scalar and the active kernel.
+  /// Batched EncodeValue: one TPR per (path, time) item, in order, from
+  /// the tape-free packed forward of core/inference_plan.h. Every row is
+  /// bitwise the corresponding single EncodeValue under either kernel
+  /// (batch_test pins it); tpr::serve answers every request from this
+  /// forward. Transformer encoders encode item by item via EncodeValue.
   std::vector<std::vector<float>> EncodeValueBatch(
       const std::vector<PathTimeItem>& items) const;
 
   /// Like EncodeValueBatch, but polls `cancelled` (may be empty) between
-  /// pipeline stages (feature assembly, sequence model, aggregation) and
-  /// returns nullopt as soon as it observes true. This is how
-  /// tpr::serve propagates request deadlines into a forward pass that
-  /// is already running: cancellation is cooperative and stage-granular,
-  /// never mid-matmul.
+  /// pipeline stages (feature assembly, sequence model, aggregation; a
+  /// transformer polls between items) and returns nullopt as soon as it
+  /// observes true. This is how tpr::serve propagates request deadlines
+  /// into a forward pass that is already running: cancellation is
+  /// cooperative and stage-granular, never mid-matmul.
   std::optional<std::vector<std::vector<float>>> EncodeValueBatchCancellable(
       const std::vector<PathTimeItem>& items,
       const std::function<bool()>& cancelled) const;
@@ -126,14 +122,6 @@ class TemporalPathEncoder : public nn::Module {
   /// minus the trainable categorical part, see Encode()).
   nn::Var BuildStaticFeatures(const graph::Path& path,
                               int64_t depart_time_s) const;
-
-  /// Batched pipeline behind EncodeValueBatch*: assembles one padded
-  /// time-major feature batch, runs the batched sequence model, and
-  /// applies the masked aggregation. Returns the (batch x d_hidden) TPR
-  /// matrix, or nullopt once `cancelled` (may be empty) reports true.
-  std::optional<nn::Var> EncodeBatchImpl(
-      const std::vector<PathTimeItem>& items,
-      const std::function<bool()>& cancelled) const;
 
   std::shared_ptr<const FeatureSpace> features_;
   EncoderConfig config_;

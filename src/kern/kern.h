@@ -133,7 +133,7 @@ void QuantizeRow(const float* x, float inv_scale, int8_t* q, int n);
 /// out = [h_t | c_t] (2h). The scalar form is the reproducibility
 /// anchor (std::exp-based); the avx2 form uses polynomial vector
 /// transcendentals — deterministic, lane-uniform, and identical for a
-/// row whether it is encoded alone or inside a padded batch.
+/// row whether it is encoded alone or inside a packed batch.
 void LstmCellRow(const float* g, const float* c_prev, float* act, float* out,
                  int h);
 

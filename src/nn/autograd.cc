@@ -521,22 +521,6 @@ Var SliceRow(const Var& a, int r) {
   });
 }
 
-Var SliceRows(const Var& a, int start, int len) {
-  TPR_CHECK(start >= 0 && len > 0 && start + len <= a.rows());
-  const int n = a.cols();
-  Tensor out = Tensor::Uninitialized(len, n);
-  const float* src = a.value().data() + static_cast<size_t>(start) * n;
-  std::copy(src, src + static_cast<size_t>(len) * n, out.data());
-  return MakeOp(std::move(out), {a}, [start, len, n](internal::VarImpl* self) {
-    internal::VarImpl* a_impl = self->parents[0].get();
-    if (!a_impl->requires_grad) return;
-    a_impl->EnsureGrad();
-    kern::AddAcc(self->grad.data(),
-                 a_impl->grad.data() + static_cast<size_t>(start) * n,
-                 len * n);
-  });
-}
-
 Var Gather(const Var& table, const std::vector<int>& indices) {
   const int n = table.cols();
   Tensor out = Tensor::Uninitialized(static_cast<int>(indices.size()), n);
@@ -656,166 +640,6 @@ Var SoftmaxRows(const Var& a) {
       for (int j = 0; j < n; ++j) g[j] += y[j] * (go[j] - dotv);
     }
   });
-}
-
-Var SoftmaxRowsMasked(const Var& a, int valid) {
-  const int m = a.rows(), n = a.cols();
-  TPR_CHECK(valid > 0 && valid <= n);
-  // Zero-initialised so the masked tail is exactly 0.0f.
-  Tensor out(m, n);
-  for (int i = 0; i < m; ++i) {
-    const float* row = a.value().data() + static_cast<size_t>(i) * n;
-    float* orow = out.data() + static_cast<size_t>(i) * n;
-    float mx = row[0];
-    for (int j = 1; j < valid; ++j) mx = std::max(mx, row[j]);
-    float s = 0;
-    for (int j = 0; j < valid; ++j) {
-      orow[j] = std::exp(row[j] - mx);
-      s += orow[j];
-    }
-    for (int j = 0; j < valid; ++j) orow[j] /= s;
-  }
-  return MakeOp(std::move(out), {a}, [m, n, valid](internal::VarImpl* self) {
-    internal::VarImpl* a_impl = self->parents[0].get();
-    if (!a_impl->requires_grad) return;
-    a_impl->EnsureGrad();
-    for (int i = 0; i < m; ++i) {
-      const float* y = self->value.data() + static_cast<size_t>(i) * n;
-      const float* go = self->grad.data() + static_cast<size_t>(i) * n;
-      float* g = a_impl->grad.data() + static_cast<size_t>(i) * n;
-      float dotv = 0;
-      for (int j = 0; j < valid; ++j) dotv += go[j] * y[j];
-      for (int j = 0; j < valid; ++j) g[j] += y[j] * (go[j] - dotv);
-    }
-  });
-}
-
-Var MatMulValidCols(const Var& w, const Var& v, int valid) {
-  const int m = w.rows(), n = v.cols();
-  TPR_CHECK(valid > 0 && valid <= w.cols() && valid <= v.rows());
-  static obs::Counter& ops = obs::GetCounter("nn.matmul_ops");
-  static obs::Counter& flops = obs::GetCounter("nn.matmul_flops");
-  ops.Add();
-  flops.Add(2ull * m * valid * n);
-  // Compact the valid column prefix of each w row so the reduction runs
-  // through the same GEMM as the unpadded MatMul (v's valid row prefix
-  // is already contiguous in row-major layout).
-  const auto compact_w = [m, valid](const Tensor& full) {
-    Tensor wc = Tensor::Uninitialized(m, valid);
-    for (int i = 0; i < m; ++i) {
-      const float* src =
-          full.data() + static_cast<size_t>(i) * full.cols();
-      std::copy(src, src + valid,
-                wc.data() + static_cast<size_t>(i) * valid);
-    }
-    return wc;
-  };
-  Tensor out(m, n);
-  {
-    const Tensor wc = compact_w(w.value());
-    kern::GemmAcc(wc.data(), v.value().data(), out.data(), m, valid, n);
-  }
-  return MakeOp(
-      std::move(out), {w, v},
-      [m, n, valid, compact_w](internal::VarImpl* self) {
-        internal::VarImpl* w_impl = self->parents[0].get();
-        internal::VarImpl* v_impl = self->parents[1].get();
-        if (w_impl->requires_grad) {
-          w_impl->EnsureGrad();
-          // dW[:, :valid] += dOut * v[:valid]^T, scattered back into the
-          // full-width gradient.
-          Tensor tmp(m, valid);
-          kern::GemmTransBAcc(self->grad.data(), v_impl->value.data(),
-                              tmp.data(), m, n, valid);
-          const int wn = w_impl->value.cols();
-          for (int i = 0; i < m; ++i) {
-            kern::AddAcc(tmp.data() + static_cast<size_t>(i) * valid,
-                         w_impl->grad.data() + static_cast<size_t>(i) * wn,
-                         valid);
-          }
-        }
-        if (v_impl->requires_grad) {
-          v_impl->EnsureGrad();
-          // dV[:valid] += w[:, :valid]^T * dOut (a contiguous row prefix).
-          const Tensor wc = compact_w(w_impl->value);
-          kern::GemmTransAAcc(wc.data(), self->grad.data(),
-                              v_impl->grad.data(), m, valid, n);
-        }
-      });
-}
-
-Var SequenceMeanBatch(const Var& data, const std::vector<int>& lengths) {
-  const int batch = static_cast<int>(lengths.size());
-  const int n = data.cols();
-  TPR_CHECK(batch > 0 && data.rows() % batch == 0);
-  const int max_len = data.rows() / batch;
-  Tensor out(batch, n);
-  for (int b = 0; b < batch; ++b) {
-    TPR_CHECK(lengths[b] >= 1 && lengths[b] <= max_len);
-    float* orow = out.data() + static_cast<size_t>(b) * n;
-    for (int t = 0; t < lengths[b]; ++t) {
-      const float* row = data.value().data() +
-                         (static_cast<size_t>(t) * batch + b) * n;
-      kern::AddAcc(row, orow, n);
-    }
-    const float inv = 1.0f / static_cast<float>(lengths[b]);
-    for (int j = 0; j < n; ++j) orow[j] *= inv;
-  }
-  kern::ArenaVector<int> lens(lengths.begin(), lengths.end());
-  return MakeOp(std::move(out), {data},
-                [lens = std::move(lens), batch, n](internal::VarImpl* self) {
-                  internal::VarImpl* d_impl = self->parents[0].get();
-                  if (!d_impl->requires_grad) return;
-                  d_impl->EnsureGrad();
-                  for (int b = 0; b < batch; ++b) {
-                    const float* go =
-                        self->grad.data() + static_cast<size_t>(b) * n;
-                    const float inv = 1.0f / static_cast<float>(lens[b]);
-                    for (int t = 0; t < lens[b]; ++t) {
-                      float* g = d_impl->grad.data() +
-                                 (static_cast<size_t>(t) * batch + b) * n;
-                      for (int j = 0; j < n; ++j) g[j] += go[j] * inv;
-                    }
-                  }
-                });
-}
-
-Var SequenceMaxBatch(const Var& data, const std::vector<int>& lengths) {
-  const int batch = static_cast<int>(lengths.size());
-  const int n = data.cols();
-  TPR_CHECK(batch > 0 && data.rows() % batch == 0);
-  const int max_len = data.rows() / batch;
-  Tensor out = Tensor::Uninitialized(batch, n);
-  kern::ArenaVector<int> argmax(static_cast<size_t>(batch) * n, 0);
-  for (int b = 0; b < batch; ++b) {
-    TPR_CHECK(lengths[b] >= 1 && lengths[b] <= max_len);
-    for (int j = 0; j < n; ++j) {
-      float best = data.value().at(b, j);  // t = 0 row of sequence b
-      int best_t = 0;
-      for (int t = 1; t < lengths[b]; ++t) {
-        if (data.value().at(t * batch + b, j) > best) {
-          best = data.value().at(t * batch + b, j);
-          best_t = t;
-        }
-      }
-      out.at(b, j) = best;
-      argmax[static_cast<size_t>(b) * n + j] = best_t;
-    }
-  }
-  return MakeOp(std::move(out), {data},
-                [argmax = std::move(argmax), batch, n](internal::VarImpl* self) {
-                  internal::VarImpl* d_impl = self->parents[0].get();
-                  if (!d_impl->requires_grad) return;
-                  d_impl->EnsureGrad();
-                  for (int b = 0; b < batch; ++b) {
-                    const float* go =
-                        self->grad.data() + static_cast<size_t>(b) * n;
-                    for (int j = 0; j < n; ++j) {
-                      const int t = argmax[static_cast<size_t>(b) * n + j];
-                      d_impl->grad.at(t * batch + b, j) += go[j];
-                    }
-                  }
-                });
 }
 
 Var MseLoss(const Var& pred, const Tensor& target) {

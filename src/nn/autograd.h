@@ -221,11 +221,6 @@ Var SliceCols(const Var& a, int start, int len);
 /// Selects row r of an m x n matrix as a 1 x n vector.
 Var SliceRow(const Var& a, int r);
 
-/// Contiguous row slice [start, start + len) of an m x n matrix as a
-/// len x n matrix. The time-major batched recurrent step: timestep t of
-/// a PaddedBatch is SliceRows(data, t * batch, batch).
-Var SliceRows(const Var& a, int start, int len);
-
 /// Row gather: selects rows of `table` by index (embedding lookup).
 /// Backward scatter-adds into the table's gradient.
 Var Gather(const Var& table, const std::vector<int>& indices);
@@ -242,31 +237,6 @@ Var LogSumExp(const Var& a);
 
 /// Row-wise softmax of an m x n matrix.
 Var SoftmaxRows(const Var& a);
-
-/// Masked row-wise softmax: each row is a softmax over its first `valid`
-/// columns only; columns >= valid are exactly 0.0f in the output and
-/// receive zero gradient. The element operations over the valid prefix
-/// are identical to SoftmaxRows on a `valid`-wide row, so a masked row
-/// is bitwise equal to the unmasked softmax of the unpadded row.
-Var SoftmaxRowsMasked(const Var& a, int valid);
-
-/// Product of w's first `valid` columns with v's first `valid` rows:
-/// out (m x n) = w[:, :valid] (m x valid) * v[:valid, :] (valid x n).
-/// The masked-attention weighted sum: padded key/value positions carry
-/// zero softmax weight AND are excluded from the reduction, so the
-/// valid rows of the result are bitwise equal to the unpadded MatMul.
-Var MatMulValidCols(const Var& w, const Var& v, int valid);
-
-/// Masked per-sequence mean over a time-major PaddedBatch payload
-/// ((max_len * batch) x n, lengths.size() == batch): row b of the
-/// (batch x n) result averages rows t*batch + b for t < lengths[b],
-/// with the exact element-operation order of RowMean on the unpadded
-/// sequence (bitwise-equal rows).
-Var SequenceMeanBatch(const Var& data, const std::vector<int>& lengths);
-
-/// Masked per-sequence column-wise max over a time-major PaddedBatch
-/// payload; RowMax per sequence, restricted to valid steps.
-Var SequenceMaxBatch(const Var& data, const std::vector<int>& lengths);
 
 /// Mean squared error between prediction and constant target.
 Var MseLoss(const Var& pred, const Tensor& target);

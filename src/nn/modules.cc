@@ -108,33 +108,6 @@ Var LstmLayer::Forward(const Var& sequence) const {
   return ConcatRows(outputs);
 }
 
-PaddedBatch LstmLayer::ForwardBatch(const PaddedBatch& in) const {
-  TPR_CHECK(in.data.cols() == input_size_);
-  TPR_CHECK(in.batch > 0 && in.data.rows() == in.rows());
-  const int B = in.batch;
-  const int h = hidden_size_;
-  Var h_prev = Var::Leaf(Tensor(B, h));
-  Var c_prev = Var::Leaf(Tensor(B, h));
-  kern::ArenaVector<Var> outputs;
-  outputs.reserve(in.max_len);
-  for (int t = 0; t < in.max_len; ++t) {
-    Var x_t = SliceRows(in.data, t * B, B);
-    Var gates = AffineSum(x_t, w_ih_, h_prev, w_hh_, bias_);
-    Var hc = LstmCellOp(gates, c_prev);
-    Var h_t = SliceCols(hc, 0, h);
-    Var c_t = SliceCols(hc, h, h);
-    outputs.push_back(h_t);
-    h_prev = h_t;
-    c_prev = c_t;
-  }
-  PaddedBatch out;
-  out.data = ConcatRows(outputs);
-  out.lengths = in.lengths;
-  out.batch = B;
-  out.max_len = in.max_len;
-  return out;
-}
-
 std::vector<Var> LstmLayer::Parameters() const { return {w_ih_, w_hh_, bias_}; }
 
 Lstm::Lstm(int input_size, int hidden_size, int num_layers, Rng& rng)
@@ -150,12 +123,6 @@ Lstm::Lstm(int input_size, int hidden_size, int num_layers, Rng& rng)
 Var Lstm::Forward(const Var& sequence) const {
   Var x = sequence;
   for (const auto& layer : layers_) x = layer.Forward(x);
-  return x;
-}
-
-PaddedBatch Lstm::ForwardBatch(const PaddedBatch& in) const {
-  PaddedBatch x = in;
-  for (const auto& layer : layers_) x = layer.ForwardBatch(x);
   return x;
 }
 
@@ -198,30 +165,6 @@ Var GruLayer::Forward(const Var& sequence) const {
     h_prev = h_t;
   }
   return ConcatRows(outputs);
-}
-
-PaddedBatch GruLayer::ForwardBatch(const PaddedBatch& in) const {
-  TPR_CHECK(in.data.cols() == input_size_);
-  TPR_CHECK(in.batch > 0 && in.data.rows() == in.rows());
-  const int B = in.batch;
-  const int h = hidden_size_;
-  Var h_prev = Var::Leaf(Tensor(B, h));
-  kern::ArenaVector<Var> outputs;
-  outputs.reserve(in.max_len);
-  for (int t = 0; t < in.max_len; ++t) {
-    Var x_t = SliceRows(in.data, t * B, B);
-    Var gi = Affine(x_t, w_ih_, b_ih_);
-    Var gh = Affine(h_prev, w_hh_, b_hh_);
-    Var h_t = GruCellOp(gi, gh, h_prev);
-    outputs.push_back(h_t);
-    h_prev = h_t;
-  }
-  PaddedBatch out;
-  out.data = ConcatRows(outputs);
-  out.lengths = in.lengths;
-  out.batch = B;
-  out.max_len = in.max_len;
-  return out;
 }
 
 std::vector<Var> GruLayer::Parameters() const {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "nn/autograd.h"
-#include "nn/padded_batch.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -86,12 +85,6 @@ class LstmLayer : public Module {
   /// Processes a (T x input) sequence, returns the (T x hidden) outputs.
   Var Forward(const Var& sequence) const;
 
-  /// Batched step-wise forward over a padded time-major batch: one
-  /// (batch x input) gate GEMM per step instead of batch small ones.
-  /// Valid output rows are bitwise equal to per-sequence Forward rows
-  /// (see padded_batch.h); the recurrence is deliberately unmasked.
-  PaddedBatch ForwardBatch(const PaddedBatch& in) const;
-
   std::vector<Var> Parameters() const override;
 
   int hidden_size() const { return hidden_size_; }
@@ -112,9 +105,6 @@ class Lstm : public Module {
   /// (T x input) -> (T x hidden) from the top layer.
   Var Forward(const Var& sequence) const;
 
-  /// Padded-batch variant of Forward (see LstmLayer::ForwardBatch).
-  PaddedBatch ForwardBatch(const PaddedBatch& in) const;
-
   std::vector<Var> Parameters() const override;
 
   int hidden_size() const { return hidden_size_; }
@@ -131,9 +121,6 @@ class GruLayer : public Module {
 
   /// Processes a (T x input) sequence, returns the (T x hidden) outputs.
   Var Forward(const Var& sequence) const;
-
-  /// Padded-batch variant of Forward (see LstmLayer::ForwardBatch).
-  PaddedBatch ForwardBatch(const PaddedBatch& in) const;
 
   std::vector<Var> Parameters() const override;
 

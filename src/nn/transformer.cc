@@ -1,7 +1,6 @@
 #include "nn/transformer.h"
 
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 namespace tpr::nn {
@@ -16,8 +15,7 @@ SelfAttention::SelfAttention(int input_dim, int attention_dim, Rng& rng)
 namespace {
 
 // Fused scores = q k^T / sqrt(d) op (there is no standalone transpose
-// in the autograd vocabulary; the gradient is pushed manually). Shared
-// by the single-sequence and padded-batch attention paths.
+// in the autograd vocabulary; the gradient is pushed manually).
 Var ScaledDotScores(const Var& q, const Var& k, float scale) {
   const Tensor& qv = q.value();
   const Tensor& kv = k.value();
@@ -61,41 +59,6 @@ Var SelfAttention::Forward(const Var& sequence) const {
   return MatMul(weights, v);              // T x d
 }
 
-Var SelfAttention::ForwardBatch(const PaddedBatch& in) const {
-  TPR_CHECK(in.data.cols() == input_dim_);
-  TPR_CHECK(in.batch > 0 && in.data.rows() == in.rows());
-  const int B = in.batch;
-  const int Tm = in.max_len;
-  // One projection GEMM over all B sequences at once.
-  Var q = query_.Forward(in.data);  // (Tm*B) x d, time-major
-  Var k = key_.Forward(in.data);
-  Var v = value_.Forward(in.data);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(attention_dim_));
-  // Attention itself is per sequence: gather sequence b's padded column
-  // into sequence-major (Tm x d) views, score, softmax over the valid
-  // prefix, and reduce over the valid keys only.
-  std::vector<Var> per_seq;
-  per_seq.reserve(B);
-  std::vector<int> col(Tm);
-  for (int b = 0; b < B; ++b) {
-    for (int t = 0; t < Tm; ++t) col[t] = t * B + b;
-    Var qb = Gather(q, col);
-    Var kb = Gather(k, col);
-    Var vb = Gather(v, col);
-    Var scores_var = ScaledDotScores(qb, kb, scale);  // Tm x Tm
-    Var weights = SoftmaxRowsMasked(scores_var, in.lengths[b]);
-    per_seq.push_back(MatMulValidCols(weights, vb, in.lengths[b]));
-  }
-  // ConcatRows is sequence-major (row b*Tm + t); permute back to the
-  // batch's time-major layout.
-  Var cat = ConcatRows(per_seq);
-  std::vector<int> perm(static_cast<size_t>(B) * Tm);
-  for (int t = 0; t < Tm; ++t) {
-    for (int b = 0; b < B; ++b) perm[static_cast<size_t>(t) * B + b] = b * Tm + t;
-  }
-  return Gather(cat, perm);
-}
-
 std::vector<Var> SelfAttention::Parameters() const {
   std::vector<Var> params = query_.Parameters();
   for (const auto* layer : {&key_, &value_}) {
@@ -114,19 +77,6 @@ Var TransformerBlock::Forward(const Var& sequence) const {
   Var attended = Add(sequence, attention_.Forward(sequence));
   Var ff = ff2_.Forward(Relu(ff1_.Forward(attended)));
   return Tanh(Add(attended, ff));  // tanh bounds activations sans layernorm
-}
-
-PaddedBatch TransformerBlock::ForwardBatch(const PaddedBatch& in) const {
-  Var attended = Add(in.data, attention_.ForwardBatch(in));
-  // The residual FF is position-wise, so running it over padded rows is
-  // harmless (their outputs are tanh-bounded and never read).
-  Var ff = ff2_.Forward(Relu(ff1_.Forward(attended)));
-  PaddedBatch out;
-  out.data = Tanh(Add(attended, ff));
-  out.lengths = in.lengths;
-  out.batch = in.batch;
-  out.max_len = in.max_len;
-  return out;
 }
 
 std::vector<Var> TransformerBlock::Parameters() const {
@@ -166,32 +116,6 @@ Var TransformerEncoder::Forward(const Var& sequence) const {
   x = Add(x, Var::Leaf(PositionEncoding(x.rows())));
   for (const auto& block : blocks_) x = block.Forward(x);
   return x;
-}
-
-PaddedBatch TransformerEncoder::ForwardBatch(const PaddedBatch& in) const {
-  TPR_CHECK(in.batch > 0 && in.data.rows() == in.rows());
-  Var x = input_proj_.Forward(in.data);
-  // Broadcast PE(t) to every sequence's row t*B + b: the encoding
-  // depends only on (position, channel), so the broadcast rows are the
-  // exact bytes the single-sequence path adds.
-  const Tensor pe = PositionEncoding(in.max_len);
-  Tensor peb = Tensor::Uninitialized(in.rows(), hidden_dim_);
-  for (int t = 0; t < in.max_len; ++t) {
-    const float* src = pe.data() + static_cast<size_t>(t) * hidden_dim_;
-    for (int b = 0; b < in.batch; ++b) {
-      float* dst = peb.data() +
-                   (static_cast<size_t>(t) * in.batch + b) * hidden_dim_;
-      std::memcpy(dst, src,
-                  static_cast<size_t>(hidden_dim_) * sizeof(float));
-    }
-  }
-  PaddedBatch cur;
-  cur.data = Add(x, Var::Leaf(std::move(peb)));
-  cur.lengths = in.lengths;
-  cur.batch = in.batch;
-  cur.max_len = in.max_len;
-  for (const auto& block : blocks_) cur = block.ForwardBatch(cur);
-  return cur;
 }
 
 std::vector<Var> TransformerEncoder::Parameters() const {

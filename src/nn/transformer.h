@@ -16,14 +16,6 @@ class SelfAttention : public Module {
 
   Var Forward(const Var& sequence) const;
 
-  /// Padded-batch attention. The q/k/v projections run as one GEMM over
-  /// the whole padded batch (the batching win); scores and the masked
-  /// softmax then run per sequence, attending over that sequence's first
-  /// lengths[b] positions only. Returns the time-major (rows x d_out)
-  /// payload; valid rows are bitwise equal to the per-sequence Forward
-  /// under the scalar kernel (see padded_batch.h).
-  Var ForwardBatch(const PaddedBatch& in) const;
-
   std::vector<Var> Parameters() const override;
 
   int attention_dim() const { return attention_dim_; }
@@ -48,10 +40,6 @@ class TransformerBlock : public Module {
 
   Var Forward(const Var& sequence) const;
 
-  /// Padded-batch variant: masked attention + the position-wise residual
-  /// feed-forward applied to every (valid or padded) row.
-  PaddedBatch ForwardBatch(const PaddedBatch& in) const;
-
   std::vector<Var> Parameters() const override;
 
  private:
@@ -68,11 +56,6 @@ class TransformerEncoder : public Module {
   TransformerEncoder(int input_dim, int hidden_dim, int num_layers, Rng& rng);
 
   Var Forward(const Var& sequence) const;
-
-  /// Padded-batch variant of Forward: per-row input projection, the
-  /// per-timestep position encoding broadcast across the batch, then the
-  /// masked blocks.
-  PaddedBatch ForwardBatch(const PaddedBatch& in) const;
 
   std::vector<Var> Parameters() const override;
 

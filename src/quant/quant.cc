@@ -8,7 +8,6 @@
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/serialize.h"
-#include "graph/road_network.h"
 #include "kern/kern.h"
 #include "par/thread_pool.h"
 #include "util/logging.h"
@@ -24,12 +23,6 @@ constexpr uint32_t kModelVersion = 1;
 // allocation.
 constexpr int kMaxDim = 1 << 20;
 
-const float* TableRow(const FloatTable& table, int id) {
-  TPR_CHECK(id >= 0 && id < table.rows)
-      << "quant table lookup out of range: " << id << " vs " << table.rows;
-  return table.data.data() + static_cast<size_t>(id) * table.cols;
-}
-
 FloatTable CopyTable(const nn::Tensor& t) {
   FloatTable out;
   out.rows = t.rows();
@@ -38,51 +31,26 @@ FloatTable CopyTable(const nn::Tensor& t) {
   return out;
 }
 
-/// Writes the T x input_dim fp32 feature rows for one path into `x` —
-/// the exact assembly of TemporalPathEncoder::Encode: [rt | lanes |
-/// oneway | signal | from | to | t_vec], with the same temporal vector
-/// on every row. `x` must hold path.size() * model.input_dim floats;
-/// the raw-pointer form lets the batched forward interleave many items
-/// into one time-major buffer.
-void FillFeatureRows(const core::FeatureSpace& features,
-                     const QuantizedModel& model, const graph::Path& path,
-                     int64_t depart_time_s, float* x) {
-  TPR_CHECK(!path.empty());
-  const auto& network = *features.data->network;
-  const int d_road = features.config.road_embedding_dim;
-  const int T = static_cast<int>(path.size());
-  const int dim = model.input_dim;
-
-  const int t_node = features.TemporalNodeFor(depart_time_s);
-  const auto& t_vec = features.temporal_embeddings[t_node];
-  for (int i = 0; i < T; ++i) {
-    const auto& e = network.edge(path[i]);
-    float* row = x + static_cast<size_t>(i) * dim;
-    const float* rt = TableRow(model.road_type_table,
-                               static_cast<int>(e.road_type));
-    const float* lanes = TableRow(model.lanes_table, e.num_lanes - 1);
-    const float* ow = TableRow(model.oneway_table, e.one_way ? 1 : 0);
-    const float* ts = TableRow(model.signal_table, e.has_signal ? 1 : 0);
-    float* p = row;
-    p = std::copy(rt, rt + model.road_type_table.cols, p);
-    p = std::copy(lanes, lanes + model.lanes_table.cols, p);
-    p = std::copy(ow, ow + model.oneway_table.cols, p);
-    p = std::copy(ts, ts + model.signal_table.cols, p);
-    const auto& from_vec = features.road_embeddings[e.from];
-    const auto& to_vec = features.road_embeddings[e.to];
-    p = std::copy(from_vec.begin(), from_vec.begin() + d_road, p);
-    p = std::copy(to_vec.begin(), to_vec.begin() + d_road, p);
-    if (model.use_temporal) p = std::copy(t_vec.begin(), t_vec.end(), p);
-    TPR_CHECK(p == row + dim);
-  }
+core::PlanTable View(const FloatTable& t) {
+  return core::PlanTable{t.data.data(), t.rows, t.cols};
 }
 
-/// Vector-filling wrapper over FillFeatureRows; reuses `out`'s capacity.
-void BuildFeatureMatrix(const core::FeatureSpace& features,
-                        const QuantizedModel& model, const graph::Path& path,
-                        int64_t depart_time_s, std::vector<float>* out) {
-  out->resize(path.size() * static_cast<size_t>(model.input_dim));
-  FillFeatureRows(features, model, path, depart_time_s, out->data());
+/// An int8 plan over the model's tables, without layers: the feature
+/// assembly of calibration, and the base the twin adds its layers to.
+core::InferencePlan TablesPlan(const core::FeatureSpace* features,
+                               const QuantizedModel& model) {
+  TPR_CHECK(features != nullptr);
+  core::InferencePlan plan;
+  plan.features = features;
+  plan.precision = core::InferencePlan::Precision::kInt8;
+  plan.aggregation = static_cast<core::Aggregation>(model.aggregation);
+  plan.use_temporal = model.use_temporal;
+  plan.d_hidden = model.d_hidden;
+  plan.road_type = View(model.road_type_table);
+  plan.lanes = View(model.lanes_table);
+  plan.oneway = View(model.oneway_table);
+  plan.signal = View(model.signal_table);
+  return plan;
 }
 
 /// The fp32 weight views of one LSTM layer, in Parameters() order.
@@ -264,15 +232,16 @@ StatusOr<QuantizedModel> QuantizeEncoder(
   const int n_items = static_cast<int>(calibration.size());
   std::vector<std::vector<MinMaxObserver>> item_in(n_items),
       item_hid(n_items);
-  const core::FeatureSpace& features = *encoder.features();
+  const core::InferencePlan features_plan =
+      TablesPlan(encoder.features().get(), model);
   par::DefaultPool().ParallelFor(n_items, [&](int i) {
     item_in[i].resize(num_layers);
     item_hid[i].resize(num_layers);
     const core::PathTimeItem& item = calibration[i];
     TPR_CHECK(item.path != nullptr && !item.path->empty());
     const int T = static_cast<int>(item.path->size());
-    std::vector<float> x;
-    BuildFeatureMatrix(features, model, *item.path, item.depart_time_s, &x);
+    std::vector<float> x(static_cast<size_t>(T) * model.input_dim);
+    features_plan.FillFeatures(*item.path, item.depart_time_s, x.data());
     int in_dim = model.input_dim;
     std::vector<float> next;
     for (int l = 0; l < num_layers; ++l) {
@@ -350,6 +319,10 @@ StatusOr<QuantizedModel> DecodeQuantizedModel(std::string_view payload) {
       model.d_hidden <= 0 || model.d_hidden > kMaxDim) {
     return Status::DataLoss("quantized-model dims out of range");
   }
+  if (aggregation > static_cast<uint8_t>(core::Aggregation::kLast)) {
+    return Status::DataLoss("quantized-model aggregation " +
+                            std::to_string(aggregation) + " is unknown");
+  }
   if (auto s = ReadFloatTable(r, &model.road_type_table); !s.ok()) return s;
   if (auto s = ReadFloatTable(r, &model.lanes_table); !s.ok()) return s;
   if (auto s = ReadFloatTable(r, &model.oneway_table); !s.ok()) return s;
@@ -360,7 +333,8 @@ StatusOr<QuantizedModel> DecodeQuantizedModel(std::string_view payload) {
     return Status::DataLoss("quantized-model layer count out of range");
   }
   model.layers.resize(num_layers);
-  for (auto& layer : model.layers) {
+  for (uint32_t l = 0; l < num_layers; ++l) {
+    QuantizedLstmLayer& layer = model.layers[l];
     if (auto s = ReadQuantTensor(r, &layer.w_ih); !s.ok()) return s;
     if (auto s = ReadQuantTensor(r, &layer.w_hh); !s.ok()) return s;
     uint64_t bias_n = 0;
@@ -373,20 +347,50 @@ StatusOr<QuantizedModel> DecodeQuantizedModel(std::string_view payload) {
       return s;
     if (auto s = r.F32(&layer.in_scale); !s.ok()) return s;
     if (auto s = r.F32(&layer.hidden_scale); !s.ok()) return s;
+    // Layer 0 reads the feature rows, every later layer the hidden
+    // state below it: a narrower panel would be read out of bounds.
     const int h4 = 4 * model.d_hidden;
-    if (layer.w_ih.rows != h4 || layer.w_hh.rows != h4 ||
-        layer.w_hh.cols != model.d_hidden ||
+    const int in_dim = l == 0 ? model.input_dim : model.d_hidden;
+    if (layer.w_ih.rows != h4 || layer.w_ih.cols != in_dim ||
+        layer.w_hh.rows != h4 || layer.w_hh.cols != model.d_hidden ||
         static_cast<int>(layer.bias.size()) != h4) {
-      return Status::DataLoss("quantized-model layer shape mismatch");
+      return Status::DataLoss("quantized-model layer " + std::to_string(l) +
+                              " shape mismatch");
     }
-  }
-  if (model.layers[0].w_ih.cols != model.input_dim) {
-    return Status::DataLoss("quantized-model input_dim mismatch");
   }
   if (!r.AtEnd()) {
     return Status::DataLoss("quantized-model payload has trailing bytes");
   }
   return model;
+}
+
+Status CheckTwinShape(const QuantizedModel& model,
+                      const core::TemporalPathEncoder& encoder) {
+  const core::EncoderConfig& config = encoder.config();
+  if (config.sequence_model != core::SequenceModel::kLstm) {
+    return Status::FailedPrecondition("int8 twins serve LSTM encoders only");
+  }
+  if (model.input_dim != encoder.input_dim() ||
+      model.d_hidden != config.d_hidden ||
+      static_cast<int>(model.layers.size()) != config.lstm_layers ||
+      model.aggregation != static_cast<uint8_t>(config.aggregation) ||
+      model.use_temporal != config.use_temporal) {
+    return Status::FailedPrecondition(
+        "int8 twin config does not match the encoder");
+  }
+  // Parameters() starts with the four categorical tables.
+  const std::vector<nn::Var> params = encoder.Parameters();
+  const FloatTable* tables[] = {&model.road_type_table, &model.lanes_table,
+                                &model.oneway_table, &model.signal_table};
+  for (int i = 0; i < 4; ++i) {
+    if (tables[i]->rows != params[i].rows() ||
+        tables[i]->cols != params[i].cols()) {
+      return Status::FailedPrecondition(
+          "int8 twin embedding table " + std::to_string(i) +
+          " does not match the encoder");
+    }
+  }
+  return Status::OK();
 }
 
 std::string QuantArtifactPath(const std::string& dir, uint64_t seq) {
@@ -418,257 +422,40 @@ void RemoveQuantArtifact(const std::string& dir, uint64_t seq) {
 
 QuantizedEncoder::QuantizedEncoder(
     std::shared_ptr<const core::FeatureSpace> features, QuantizedModel model)
-    : features_(std::move(features)), model_(std::move(model)) {
-  TPR_CHECK(features_ != nullptr);
+    : features_(std::move(features)),
+      model_(std::move(model)),
+      plan_(TablesPlan(features_.get(), model_)) {
   TPR_CHECK(!model_.layers.empty());
-  w_ih_wide_.reserve(model_.layers.size());
-  w_hh_wide_.reserve(model_.layers.size());
-  auto widen = [](const QuantizedTensor& t) {
-    return std::vector<int16_t>(t.data.begin(), t.data.end());
-  };
+  TPR_CHECK(plan_.input_dim() == model_.input_dim)
+      << "quantized model input_dim " << model_.input_dim
+      << " does not match its tables and feature space (" << plan_.input_dim()
+      << ")";
+  // Widened and wired once: the model never changes after construction.
+  // (Moving a vector keeps its buffer, so the plan's pointers stay valid
+  // as the outer vectors grow.)
   for (const QuantizedLstmLayer& layer : model_.layers) {
-    w_ih_wide_.push_back(widen(layer.w_ih));
-    w_hh_wide_.push_back(widen(layer.w_hh));
+    w_ih_wide_.emplace_back(layer.w_ih.data.begin(), layer.w_ih.data.end());
+    w_hh_wide_.emplace_back(layer.w_hh.data.begin(), layer.w_hh.data.end());
+    core::PlanLayer p;
+    p.bias = layer.bias.data();
+    p.w_ih_wide = w_ih_wide_.back().data();
+    p.w_hh_wide = w_hh_wide_.back().data();
+    p.w_ih_scales = layer.w_ih.scales.data();
+    p.w_hh_scales = layer.w_hh.scales.data();
+    p.in_scale = layer.in_scale;
+    p.hidden_scale = layer.hidden_scale;
+    plan_.layers.push_back(p);
   }
 }
-
-std::vector<float> QuantizedEncoder::BuildFeatures(
-    const graph::Path& path, int64_t depart_time_s) const {
-  std::vector<float> x;
-  BuildFeatureMatrix(*features_, model_, path, depart_time_s, &x);
-  return x;
-}
-
-namespace {
-
-/// Per-thread scratch for the quantized forward. EncodeValue sits on the
-/// serving hot path where the recurrent steps are tiny (m=1 GEMMs), so a
-/// dozen per-call heap allocations — several tens of KB each for the
-/// time-batched buffers — are a measurable slice of the latency budget.
-/// Reusing capacity across calls keeps the rung's speedup intact without
-/// touching the math.
-struct EncodeScratch {
-  std::vector<float> x, next, gates, h_prev, c_prev, act, hc;
-  std::vector<int8_t> qx, qh;
-  std::vector<int32_t> acc, acc_h;
-  std::vector<int> active;
-};
-
-EncodeScratch& Scratch() {
-  static thread_local EncodeScratch s;
-  return s;
-}
-
-/// Pools T hidden-state rows into one representation — the tail of both
-/// the single and the batched forward, so their outputs agree bitwise.
-std::vector<float> AggregateRows(core::Aggregation agg, const float* x, int T,
-                                 int h) {
-  std::vector<float> out(h, 0.0f);
-  switch (agg) {
-    case core::Aggregation::kMean:
-      for (int t = 0; t < T; ++t) {
-        const float* row = x + static_cast<size_t>(t) * h;
-        for (int j = 0; j < h; ++j) out[j] += row[j];
-      }
-      for (int j = 0; j < h; ++j) out[j] /= static_cast<float>(T);
-      break;
-    case core::Aggregation::kMax:
-      std::copy(x, x + h, out.begin());
-      for (int t = 1; t < T; ++t) {
-        const float* row = x + static_cast<size_t>(t) * h;
-        for (int j = 0; j < h; ++j) out[j] = std::max(out[j], row[j]);
-      }
-      break;
-    case core::Aggregation::kLast:
-      std::copy(x + static_cast<size_t>(T - 1) * h,
-                x + static_cast<size_t>(T) * h, out.begin());
-      break;
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<float> QuantizedEncoder::EncodeValue(const graph::Path& path,
                                                  int64_t depart_time_s) const {
-  const int T = static_cast<int>(path.size());
-  const int h = model_.d_hidden;
-  const int n4 = 4 * h;
-  EncodeScratch& s = Scratch();
-  std::vector<float>& x = s.x;
-  BuildFeatureMatrix(*features_, model_, path, depart_time_s, &x);
-  int in_dim = model_.input_dim;
-
-  std::vector<int8_t>& qx = s.qx;
-  std::vector<int8_t>& qh = s.qh;
-  qh.resize(h);
-  std::vector<int32_t>& acc = s.acc;
-  std::vector<int32_t>& acc_h = s.acc_h;
-  acc.resize(static_cast<size_t>(T) * n4);
-  acc_h.resize(n4);
-  std::vector<float>& gates = s.gates;
-  gates.resize(static_cast<size_t>(T) * n4);
-  std::vector<float>& h_prev = s.h_prev;
-  std::vector<float>& c_prev = s.c_prev;
-  std::vector<float>& act = s.act;
-  std::vector<float>& hc = s.hc;
-  h_prev.resize(h);
-  c_prev.resize(h);
-  act.resize(5 * h);
-  hc.resize(2 * h);
-  std::vector<float>& next = s.next;
-  next.resize(static_cast<size_t>(T) * h);
-
-  for (size_t li = 0; li < model_.layers.size(); ++li) {
-    const QuantizedLstmLayer& layer = model_.layers[li];
-    // All T input-side gate GEMMs in one int8 call — the batched-over-
-    // time shape is what buys the >=2x speedup over the stepwise fp32
-    // path. Both GEMMs run against the pre-widened weight panels;
-    // GemmInt8Wide is bit-identical to GemmInt8.
-    qx.resize(x.size());
-    kern::QuantizeRow(x.data(), 1.0f / layer.in_scale, qx.data(),
-                      static_cast<int>(x.size()));
-    kern::GemmInt8Wide(qx.data(), w_ih_wide_[li].data(), acc.data(), T,
-                       in_dim, n4);
-    kern::DequantBias(acc.data(), layer.in_scale, layer.w_ih.scales.data(),
-                      layer.bias.data(), gates.data(), T, n4);
-
-    std::fill(h_prev.begin(), h_prev.end(), 0.0f);
-    std::fill(c_prev.begin(), c_prev.end(), 0.0f);
-    for (int t = 0; t < T; ++t) {
-      float* g = gates.data() + static_cast<size_t>(t) * n4;
-      kern::QuantizeRow(h_prev.data(), 1.0f / layer.hidden_scale, qh.data(),
-                        h);
-      kern::GemmInt8Wide(qh.data(), w_hh_wide_[li].data(), acc_h.data(), 1, h,
-                         n4);
-      kern::DequantAcc(acc_h.data(), layer.hidden_scale,
-                       layer.w_hh.scales.data(), g, 1, n4);
-      kern::LstmCellRow(g, c_prev.data(), act.data(), hc.data(), h);
-      std::copy(hc.begin(), hc.begin() + h, h_prev.begin());
-      std::copy(hc.begin() + h, hc.end(), c_prev.begin());
-      std::copy(h_prev.begin(), h_prev.end(),
-                next.begin() + static_cast<size_t>(t) * h);
-    }
-    x.assign(next.begin(), next.begin() + static_cast<size_t>(T) * h);
-    in_dim = h;
-  }
-
-  return AggregateRows(static_cast<core::Aggregation>(model_.aggregation),
-                       x.data(), T, h);
+  return std::move(EncodeValueBatch({{&path, depart_time_s}}).front());
 }
 
 std::vector<std::vector<float>> QuantizedEncoder::EncodeValueBatch(
     const std::vector<core::PathTimeItem>& items) const {
-  // Truly batched forward: all items' timesteps share one input-side
-  // GEMM, and the recurrent steps run in lockstep across items so every
-  // per-step GEMM is m = (items still active) instead of m = 1 — the
-  // shape that keeps the int8 kernels compute-bound under serving
-  // traffic. Every per-row operation (quantize, exact GEMM row, dequant,
-  // cell) is identical to the single-item path, so a batch row is
-  // bitwise the single EncodeValue of that item and group-level serving
-  // decisions never change an embedding.
-  const int n_items = static_cast<int>(items.size());
-  std::vector<std::vector<float>> out(n_items);
-  if (n_items == 0) return out;
-  if (n_items == 1) {
-    TPR_CHECK(items[0].path != nullptr);
-    out[0] = EncodeValue(*items[0].path, items[0].depart_time_s);
-    return out;
-  }
-  const int h = model_.d_hidden;
-  const int n4 = 4 * h;
-
-  // Item i owns rows [off[i], off[i] + T[i]) of every time-major buffer.
-  std::vector<int> T(n_items), off(n_items);
-  int total = 0, t_max = 0;
-  for (int i = 0; i < n_items; ++i) {
-    TPR_CHECK(items[i].path != nullptr && !items[i].path->empty());
-    T[i] = static_cast<int>(items[i].path->size());
-    off[i] = total;
-    total += T[i];
-    if (T[i] > t_max) t_max = T[i];
-  }
-
-  EncodeScratch& s = Scratch();
-  int in_dim = model_.input_dim;
-  std::vector<float>& x = s.x;
-  x.resize(static_cast<size_t>(total) * in_dim);
-  for (int i = 0; i < n_items; ++i) {
-    FillFeatureRows(*features_, model_, *items[i].path, items[i].depart_time_s,
-                    x.data() + static_cast<size_t>(off[i]) * in_dim);
-  }
-
-  std::vector<int8_t>& qx = s.qx;
-  std::vector<int32_t>& acc = s.acc;
-  std::vector<float>& gates = s.gates;
-  std::vector<float>& next = s.next;
-  std::vector<float>& h_prev = s.h_prev;
-  std::vector<float>& c_prev = s.c_prev;
-  std::vector<float>& act = s.act;
-  std::vector<float>& hc = s.hc;
-  std::vector<int8_t>& qh = s.qh;
-  std::vector<int32_t>& acc_h = s.acc_h;
-  // active[r] maps row r of a step GEMM back to its item slot; items
-  // whose paths have ended simply drop out of the packed activation.
-  std::vector<int>& active = s.active;
-  h_prev.resize(static_cast<size_t>(n_items) * h);
-  c_prev.resize(static_cast<size_t>(n_items) * h);
-  qh.resize(static_cast<size_t>(n_items) * h);
-  acc_h.resize(static_cast<size_t>(n_items) * n4);
-  act.resize(5 * h);
-  hc.resize(2 * h);
-  active.resize(n_items);
-
-  for (size_t li = 0; li < model_.layers.size(); ++li) {
-    const QuantizedLstmLayer& layer = model_.layers[li];
-    qx.resize(x.size());
-    kern::QuantizeRow(x.data(), 1.0f / layer.in_scale, qx.data(),
-                      static_cast<int>(x.size()));
-    acc.resize(static_cast<size_t>(total) * n4);
-    kern::GemmInt8Wide(qx.data(), w_ih_wide_[li].data(), acc.data(), total,
-                       in_dim, n4);
-    gates.resize(static_cast<size_t>(total) * n4);
-    kern::DequantBias(acc.data(), layer.in_scale, layer.w_ih.scales.data(),
-                      layer.bias.data(), gates.data(), total, n4);
-
-    std::fill(h_prev.begin(), h_prev.end(), 0.0f);
-    std::fill(c_prev.begin(), c_prev.end(), 0.0f);
-    next.resize(static_cast<size_t>(total) * h);
-    for (int t = 0; t < t_max; ++t) {
-      int m = 0;
-      for (int i = 0; i < n_items; ++i) {
-        if (T[i] <= t) continue;
-        kern::QuantizeRow(h_prev.data() + static_cast<size_t>(i) * h,
-                          1.0f / layer.hidden_scale,
-                          qh.data() + static_cast<size_t>(m) * h, h);
-        active[m++] = i;
-      }
-      kern::GemmInt8Wide(qh.data(), w_hh_wide_[li].data(), acc_h.data(), m, h,
-                         n4);
-      for (int r = 0; r < m; ++r) {
-        const int i = active[r];
-        float* g = gates.data() + (static_cast<size_t>(off[i]) + t) * n4;
-        kern::DequantAcc(acc_h.data() + static_cast<size_t>(r) * n4,
-                         layer.hidden_scale, layer.w_hh.scales.data(), g, 1,
-                         n4);
-        float* hp = h_prev.data() + static_cast<size_t>(i) * h;
-        float* cp = c_prev.data() + static_cast<size_t>(i) * h;
-        kern::LstmCellRow(g, cp, act.data(), hc.data(), h);
-        std::copy(hc.begin(), hc.begin() + h, hp);
-        std::copy(hc.begin() + h, hc.end(), cp);
-        std::copy(hp, hp + h,
-                  next.begin() + (static_cast<size_t>(off[i]) + t) * h);
-      }
-    }
-    x.assign(next.begin(), next.begin() + static_cast<size_t>(total) * h);
-    in_dim = h;
-  }
-
-  for (int i = 0; i < n_items; ++i) {
-    out[i] = AggregateRows(static_cast<core::Aggregation>(model_.aggregation),
-                           x.data() + static_cast<size_t>(off[i]) * h, T[i], h);
-  }
-  return out;
+  return *plan_.Encode(items, /*cancelled=*/{});
 }
 
 bool QuantEnabledFromEnv() {

@@ -19,13 +19,14 @@
 // forward is a local scalar fp32 reference, never the dispatched
 // kernels).
 //
-// The quantized forward runs gate GEMMs in int8 via kern::GemmInt8Wide
-// (exact integer accumulation over construction-time int16-widened
-// weight panels — scalar and avx2 agree bitwise) with dequant/quantize
-// epilogues that are themselves bitwise kernel-independent, then the
-// dispatched fused LSTM cell. The projection head is dropped entirely:
-// serving consumes the pre-projection TPR, so the quantized artifact
-// never carries it.
+// The quantized forward is the fp32 serving forward of
+// core/inference_plan.h with int8 gate GEMMs: exact integer
+// accumulation over construction-time int16-widened panels and
+// kernel-independent dequant/quantize epilogues, then the dispatched
+// fused LSTM cell. The projection head is dropped entirely: serving
+// consumes the pre-projection TPR, so the artifact never carries it.
+// Calibration keeps its own scalar forward (DESIGN.md §14) and shares
+// only the plan's feature assembly.
 
 #include <cstdint>
 #include <memory>
@@ -35,6 +36,7 @@
 
 #include "core/encoder.h"
 #include "core/features.h"
+#include "core/inference_plan.h"
 #include "util/status.h"
 
 namespace tpr::quant {
@@ -127,7 +129,18 @@ StatusOr<QuantizedModel> QuantizeEncoder(
 // ---------------------------------------------------------------------------
 
 std::string EncodeQuantizedModel(const QuantizedModel& model);
+
+/// DataLoss for anything the forward could not run safely: a layer
+/// whose panels do not match input_dim (layer 0) or d_hidden (later
+/// layers), an unknown aggregation, or malformed lengths.
 StatusOr<QuantizedModel> DecodeQuantizedModel(std::string_view payload);
+
+/// OK when `model` has `encoder`'s shape — input_dim, d_hidden, layer
+/// count, aggregation, use_temporal and embedding table shapes — so it
+/// can stand in for that encoder as its int8 twin. FailedPrecondition
+/// otherwise (including for transformer encoders).
+Status CheckTwinShape(const QuantizedModel& model,
+                      const core::TemporalPathEncoder& encoder);
 
 /// `<dir>/quant-<seq>.q8`.
 std::string QuantArtifactPath(const std::string& dir, uint64_t seq);
@@ -153,22 +166,24 @@ void RemoveQuantArtifact(const std::string& dir, uint64_t seq);
 /// the pre-projection TPR exactly like the fp32 EncodeValue does, from
 /// the same FeatureSpace. Deterministic for a fixed TPR_KERNEL;
 /// identical across kernels up to the fused LSTM cell (the GEMMs are
-/// exact, the epilogues scalar).
+/// exact, the epilogues scalar). Not copyable: the plan borrows the
+/// model's tables and the widened panels.
 class QuantizedEncoder {
  public:
+  /// `model` must be internally consistent, as QuantizeEncoder output
+  /// and decoded artifacts are (see DecodeQuantizedModel).
   QuantizedEncoder(std::shared_ptr<const core::FeatureSpace> features,
                    QuantizedModel model);
+  QuantizedEncoder(const QuantizedEncoder&) = delete;
+  QuantizedEncoder& operator=(const QuantizedEncoder&) = delete;
 
+  /// A batch of one.
   std::vector<float> EncodeValue(const graph::Path& path,
                                  int64_t depart_time_s) const;
 
-  /// Batched form used by the serve rung's group-level path. All items'
-  /// timesteps share one input-side GEMM and the recurrent steps run in
-  /// lockstep across items (per-step GEMMs are m = active items, not
-  /// m = 1), which is where the rung's encode-rate advantage over the
-  /// fp32 path comes from. Every per-row op matches the single-item
-  /// path exactly, so a batch result row is bitwise equal to the
-  /// corresponding single EncodeValue.
+  /// Batched form used by the serve rung's group-level path: the packed
+  /// lockstep forward of core/inference_plan.h. Every batch row is
+  /// bitwise equal to the corresponding single EncodeValue.
   std::vector<std::vector<float>> EncodeValueBatch(
       const std::vector<core::PathTimeItem>& items) const;
 
@@ -177,21 +192,17 @@ class QuantizedEncoder {
   const QuantizedModel& model() const { return model_; }
 
  private:
-  /// T x input_dim feature matrix, assembled exactly like the fp32
-  /// encoder's (categorical lookups + node2vec endpoints + temporal
-  /// vector).
-  std::vector<float> BuildFeatures(const graph::Path& path,
-                                   int64_t depart_time_s) const;
-
   std::shared_ptr<const core::FeatureSpace> features_;
   QuantizedModel model_;
   /// Runtime-only int16 copies of each layer's packed weight panels,
-  /// widened once at construction for kern::GemmInt8Wide. The artifact
-  /// stays int8 (the ~4x size win); this trades 2x in-memory weight
-  /// bytes for the avx2 inner loop skipping per-iteration sign
-  /// extension. Indexed [layer], w_ih then w_hh.
+  /// widened once at construction. The artifact stays int8 (the ~4x
+  /// size win); this trades 2x in-memory weight bytes for the avx2
+  /// inner loop skipping per-iteration sign extension. Indexed [layer],
+  /// w_ih then w_hh.
   std::vector<std::vector<int16_t>> w_ih_wide_;
   std::vector<std::vector<int16_t>> w_hh_wide_;
+  /// Wired once at construction over model_ and the widened panels.
+  core::InferencePlan plan_;
 };
 
 /// TPR_QUANT knob: "0" or "off" disables the quantized rung and twin

@@ -220,7 +220,11 @@ RoutedSubmit Router::Submit(const CityRequest& req) {
 
   auto admitted = sh.service->Submit(req.query, deadline);
   if (!admitted.ok()) {
-    RecordOutcome(idx, rt, /*success=*/false);
+    // A malformed query is the caller's fault, not the shard's: it must
+    // not count toward quarantine.
+    if (admitted.status().code() != StatusCode::kInvalidArgument) {
+      RecordOutcome(idx, rt, /*success=*/false);
+    }
     out.error = RouteError::kShardRejected;
     out.status = Status(admitted.status().code(),
                         sh.name + ": " + admitted.status().message());

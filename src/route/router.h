@@ -13,7 +13,8 @@
 //   failover    each shard carries a health state machine driven ONLY
 //               by deterministic signals — injected "route-dispatch"
 //               fault verdicts (keyed by request id, evaluated under
-//               the shard's fault scope) and admission errors — folded
+//               the shard's fault scope) and admission errors other
+//               than a malformed query (InvalidArgument) — folded
 //               in per-shard dispatch order. `quarantine_after`
 //               consecutive failures quarantine the shard; requests
 //               then shed with a typed per-shard error until a
@@ -50,7 +51,7 @@ namespace tpr::route {
 
 struct RouterConfig {
   /// Consecutive dispatch failures (route-dispatch fault or admission
-  /// error) that quarantine a shard.
+  /// error; a malformed query never counts) that quarantine a shard.
   int quarantine_after = 3;
 
   /// Re-probe backoff, in logical dispatches at the quarantined shard:
@@ -93,7 +94,8 @@ enum class RouteError {
   kNoShardForCity,    // city not in the routing table
   kShardQuarantined,  // shed: shard quarantined, not yet probe time
   kDispatchFault,     // injected route-dispatch fault for this request
-  kShardRejected,     // shard admission refused (shed/stopping/fault)
+  kShardRejected,     // shard admission refused (shed/stopping/fault/
+                      // malformed query)
 };
 
 const char* RouteErrorName(RouteError e);

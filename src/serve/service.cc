@@ -160,12 +160,15 @@ Status InferenceService::LoadModel(const std::string& dir) {
     return decoded.status();
   }
   // The int8 twin is optional sidecar state: published beside the
-  // checkpoint by tpr::rollout. Absent or unreadable, the generation
-  // serves with the quantized rung dark — never a load failure.
+  // checkpoint by tpr::rollout. Absent, unreadable, or shaped for
+  // another encoder, the generation serves with the quantized rung dark
+  // — never a load failure.
   std::shared_ptr<const quant::QuantizedEncoder> twin;
   if (config_.quantized_rung) {
     auto model = quant::LoadQuantizedModel(dir, loaded->seq);
-    if (model.ok() && model->generation == decoded->generation) {
+    // A twin of another shape would misread the feature rows or panels.
+    if (model.ok() && model->generation == decoded->generation &&
+        quant::CheckTwinShape(*model, *decoded->encoder).ok()) {
       twin = std::make_shared<const quant::QuantizedEncoder>(
           features_, std::move(model).value());
     } else if (model.status().code() != StatusCode::kNotFound) {
@@ -546,8 +549,24 @@ void InferenceService::AdmitToGeneration(Request& req) {
   }
 }
 
+Status InferenceService::ValidateQuery(const PathQuery& query) const {
+  if (query.path.empty()) return Status::InvalidArgument("empty path");
+  const int num_edges = features_->data->network->num_edges();
+  for (int edge_id : query.path) {
+    if (edge_id < 0 || edge_id >= num_edges) {
+      return Status::InvalidArgument(
+          "edge id " + std::to_string(edge_id) + " outside [0, " +
+          std::to_string(num_edges) + ")");
+    }
+  }
+  return Status::OK();
+}
+
 StatusOr<std::future<ServeResult>> InferenceService::Submit(
     PathQuery query, double deadline_ms) {
+  // A malformed query is the caller's error: refused before admission,
+  // so it takes no ticket and no fault verdict.
+  TPR_RETURN_IF_ERROR(ValidateQuery(query));
   // Admission (queue-full verdicts, breaker fold predictions) runs on
   // the submitter's thread; scope it so site@shard rules see this shard.
   fault::ScopedShard shard_scope(config_.shard);
@@ -716,7 +735,7 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
     if (!pending[gi].empty()) live.push_back(gi);
   }
 
-  // Rung 0: the whole round's surviving groups go through ONE padded
+  // Rung 0: the whole round's surviving groups go through ONE packed
   // forward per model generation, with retries. Verdicts and backoff
   // jitter are keyed by the group's fault key — a pure function of the
   // request, so its outcome is identical whichever batch it rode in.
@@ -753,7 +772,7 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
       // A batch may mix groups pinned to different generations
       // (incumbent + canary — each group is generation-homogeneous: a
       // coalesced group's hash salt is its generation, any other group
-      // is one request): one padded forward per model.
+      // is one request): one packed forward per model.
       std::vector<std::pair<GenState*, std::vector<size_t>>> parts;
       for (size_t gi : ready) {
         GenState* gen = pending[gi].front()->gen.get();
@@ -767,13 +786,14 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
         }
         if (!found) parts.emplace_back(gen, std::vector<size_t>{gi});
       }
-      const auto encode_span = [&](GenState* gen, const size_t* gis,
-                                   size_t count) {
+      // Each generation's part is one encode: the packed forward costs
+      // its true row count whatever the mix of path lengths.
+      for (const auto& part : parts) {
+        const std::vector<size_t>& gis = part.second;
         std::vector<core::PathTimeItem> items;
-        items.reserve(count);
+        items.reserve(gis.size());
         bool all_deadlined = true;
-        for (size_t i = 0; i < count; ++i) {
-          const size_t gi = gis[i];
+        for (size_t gi : gis) {
           items.push_back(core::PathTimeItem{&batch.groups[gi].path,
                                              batch.groups[gi].encode_time_s});
           for (Request* r : pending[gi]) all_deadlined &= r->has_deadline;
@@ -782,10 +802,10 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
         // out of time; one expired member must not cancel the others.
         std::function<bool()> cancelled;
         if (all_deadlined) {
-          cancelled = [gis, count, &pending] {
+          cancelled = [&gis, &pending] {
             const auto now = std::chrono::steady_clock::now();
-            for (size_t i = 0; i < count; ++i) {
-              for (Request* r : pending[gis[i]]) {
+            for (size_t gi : gis) {
+              for (Request* r : pending[gi]) {
                 if (now < r->deadline) return false;
               }
             }
@@ -793,8 +813,8 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
           };
         }
         auto encoded =
-            gen->model->EncodeValueBatchCancellable(items, cancelled);
-        for (size_t i = 0; i < count; ++i) {
+            part.first->model->EncodeValueBatchCancellable(items, cancelled);
+        for (size_t i = 0; i < gis.size(); ++i) {
           const size_t gi = gis[i];
           for (Request* r : pending[gi]) {
             if (!encoded.has_value() || r->expired()) {
@@ -813,38 +833,6 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
             r->promise.set_value(std::move(res));
           }
           pending[gi].clear();
-        }
-      };
-      for (auto& part : parts) {
-        std::vector<size_t>& gis = part.second;
-        // Length-sorted sub-batching: a padded forward costs
-        // max_len * count rows, so one long path in a batch of short
-        // ones multiplies the whole batch's work. Sorting by length
-        // (stable — deterministic for a fixed batch) and splitting
-        // greedily whenever padding the next group would push the
-        // padded/true row ratio past 5/4 keeps the waste bounded while
-        // leaving the per-group results bitwise untouched (every batch
-        // row is independent of its neighbours).
-        std::stable_sort(gis.begin(), gis.end(), [&](size_t x, size_t y) {
-          return batch.groups[x].path.size() > batch.groups[y].path.size();
-        });
-        constexpr size_t kMinSubBatch = 8;
-        size_t start = 0;
-        while (start < gis.size()) {
-          const size_t max_len = batch.groups[gis[start]].path.size();
-          size_t true_rows = max_len;
-          size_t end = start + 1;
-          while (end < gis.size()) {
-            const size_t next = batch.groups[gis[end]].path.size();
-            if (end - start >= kMinSubBatch &&
-                4 * max_len * (end - start + 1) > 5 * (true_rows + next)) {
-              break;
-            }
-            true_rows += next;
-            ++end;
-          }
-          encode_span(part.first, gis.data() + start, end - start);
-          start = end;
         }
       }
     }

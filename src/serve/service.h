@@ -39,7 +39,10 @@
 //
 // Micro-batching. There is one pipeline: admissions feed the former
 // (flush by size or logical-ticks age) and workers run each flushed
-// batch through ONE padded rung-0 forward per model generation.
+// batch through ONE rung-0 forward per model generation: the packed,
+// tape-free lockstep forward of core/inference_plan.h, whose rows are
+// bitwise the single-item encodes, so batching never changes an
+// embedding.
 // batch_max = 1 (the default) is the per-request mode: every request is
 // its own group, encoded at its exact departure time and flushed on
 // arrival. A larger batch_max batches up to that many groups per
@@ -184,7 +187,7 @@ struct ServiceConfig {
   /// Clean rung-0 canary requests that promote the canary to incumbent.
   int canary_promote_after = 64;
   /// Micro-batching: the size-flush threshold in distinct groups per
-  /// batch, which is also the padded GEMM width. 1 (default) is the
+  /// batch, i.e. the most items one rung-0 encode packs. 1 (default) is the
   /// per-request mode: every request flushes on arrival as a batch of
   /// one. Must be >= 1. Deadline/retry/breaker/canary semantics are per
   /// request at any size (see tpr::batch).
@@ -320,11 +323,14 @@ class InferenceService {
   void Shutdown();
 
   /// Admission control. On success the future resolves to the request's
-  /// ServeResult; the error path is shedding (ResourceExhausted — queue
-  /// full and block_when_full is false, or an injected queue-full fault)
-  /// or Unavailable after Shutdown. `deadline_ms` <= 0 means no
-  /// deadline; otherwise it is relative to the moment of admission and
-  /// propagates into the worker as cooperative cancellation.
+  /// ServeResult. The error paths: InvalidArgument for a malformed query
+  /// (empty path, or an edge id outside [0, num_edges)), refused before
+  /// admission with no ticket and no fault verdict; shedding
+  /// (ResourceExhausted — queue full and block_when_full is false, or an
+  /// injected queue-full fault); Unavailable after Shutdown.
+  /// `deadline_ms` <= 0 means no deadline; otherwise it is relative to
+  /// the moment of admission and propagates into the worker as
+  /// cooperative cancellation.
   StatusOr<std::future<ServeResult>> Submit(PathQuery query,
                                             double deadline_ms = 0);
 
@@ -438,7 +444,7 @@ class InferenceService {
   void ResolveCanaryLocked(CanaryVerdict verdict, const std::string& reason);
 
   /// Workers pop formed batches, extract their member requests from
-  /// waiting_, and run each batch through ONE padded encoder forward per
+  /// waiting_, and run each batch through ONE packed encoder forward per
   /// model generation. A worker that finds nothing ready for ~1ms drains
   /// the former's partial batch (idle flush) — a wall-clock race that
   /// changes which batch a request rides in but never its outcome
@@ -457,6 +463,10 @@ class InferenceService {
   /// made.
   ServeResult DegradedLadder(Request& req, ServeResult result,
                              const Stopwatch& sw);
+
+  /// InvalidArgument for an empty path or an edge id outside
+  /// [0, num_edges) of the served city.
+  Status ValidateQuery(const PathQuery& query) const;
 
   /// Resolves TPR_QUANT against the configured quantized_rung flag.
   static ServiceConfig ApplyQuantEnv(ServiceConfig config);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <future>
 #include <memory>
@@ -11,12 +12,7 @@
 #include "core/encoder.h"
 #include "core/features.h"
 #include "fault/fault.h"
-#include "gradcheck.h"
 #include "kern/kern.h"
-#include "nn/autograd.h"
-#include "nn/modules.h"
-#include "nn/padded_batch.h"
-#include "nn/transformer.h"
 #include "obs/metrics.h"
 #include "quant/quant.h"
 #include "serve/service.h"
@@ -30,9 +26,8 @@ using core::FeatureSpace;
 using core::TemporalPathEncoder;
 
 /// Pins the compute kernel for one scope. The scalar kernel is the
-/// reproducibility anchor: under it, padded-batch forwards are bitwise
-/// identical to single-sequence forwards (padded_batch.h), which is what
-/// most of these tests assert.
+/// reproducibility anchor; batched encodes equal single encodes under it
+/// and under avx2 (core/inference_plan.h).
 class ScopedKernel {
  public:
   explicit ScopedKernel(kern::Kernel k) : prev_(kern::ActiveKernel()) {
@@ -45,15 +40,6 @@ class ScopedKernel {
  private:
   kern::Kernel prev_;
 };
-
-nn::Tensor RandomTensor(int rows, int cols, Rng& rng) {
-  nn::Tensor t(rows, cols);
-  float* d = t.data();
-  for (int i = 0; i < rows * cols; ++i) {
-    d[i] = 2.0f * static_cast<float>(rng.Uniform()) - 1.0f;
-  }
-  return t;
-}
 
 // ---------------------------------------------------------------------------
 // BatchFormer: deterministic formation, flushing, coalescing.
@@ -217,108 +203,6 @@ TEST(BatchFormerTest, FromEnvReadsOverridesAndIgnoresGarbage) {
 }
 
 // ---------------------------------------------------------------------------
-// Padded-batch forwards: valid rows bitwise equal to single forwards
-// under the scalar kernel (the contract of padded_batch.h).
-// ---------------------------------------------------------------------------
-
-template <typename Module>
-void ExpectBatchRowsMatchSingle(const Module& module,
-                                const std::vector<nn::Tensor>& seqs) {
-  nn::NoGradGuard guard;
-  const nn::PaddedBatch in = nn::PackSequences(seqs);
-  const nn::PaddedBatch out = module.ForwardBatch(in);
-  ASSERT_EQ(out.batch, in.batch);
-  ASSERT_EQ(out.max_len, in.max_len);
-  const int dim = out.data.cols();
-  for (int b = 0; b < in.batch; ++b) {
-    const nn::Var single = module.Forward(nn::Var::Leaf(seqs[b]));
-    ASSERT_EQ(single.cols(), dim);
-    for (int t = 0; t < in.lengths[b]; ++t) {
-      for (int j = 0; j < dim; ++j) {
-        ASSERT_EQ(out.data.value().at(out.row(t, b), j),
-                  single.value().at(t, j))
-            << "sequence " << b << " step " << t << " dim " << j;
-      }
-    }
-  }
-}
-
-TEST(PaddedBatchTest, LstmForwardBatchRowsAreBitwiseEqualToSingle) {
-  ScopedKernel scalar(kern::Kernel::kScalar);
-  Rng rng(11);
-  nn::Lstm lstm(6, 8, /*num_layers=*/2, rng);
-  std::vector<nn::Tensor> seqs;
-  for (int len : {5, 1, 3, 7, 2}) seqs.push_back(RandomTensor(len, 6, rng));
-  ExpectBatchRowsMatchSingle(lstm, seqs);
-}
-
-TEST(PaddedBatchTest, GruForwardBatchRowsAreBitwiseEqualToSingle) {
-  ScopedKernel scalar(kern::Kernel::kScalar);
-  Rng rng(12);
-  nn::GruLayer gru(6, 8, rng);
-  std::vector<nn::Tensor> seqs;
-  for (int len : {4, 1, 6, 2}) seqs.push_back(RandomTensor(len, 6, rng));
-  ExpectBatchRowsMatchSingle(gru, seqs);
-}
-
-TEST(PaddedBatchTest, TransformerForwardBatchRowsAreBitwiseEqualToSingle) {
-  ScopedKernel scalar(kern::Kernel::kScalar);
-  Rng rng(13);
-  nn::TransformerEncoder transformer(6, 8, /*num_layers=*/2, rng);
-  std::vector<nn::Tensor> seqs;
-  for (int len : {5, 2, 4, 1}) seqs.push_back(RandomTensor(len, 6, rng));
-  ExpectBatchRowsMatchSingle(transformer, seqs);
-}
-
-// ---------------------------------------------------------------------------
-// Gradients through the masked ops.
-// ---------------------------------------------------------------------------
-
-TEST(MaskedOpsTest, MaskedAggregationsGradcheck) {
-  Rng rng(21);
-  const std::vector<int> lengths = {4, 2, 3};
-  nn::Var data = nn::XavierParam(4 * 3, 5, rng);  // max_len=4, batch=3
-  testing::ExpectGradientsMatch(
-      [&] {
-        return nn::Add(nn::Sum(nn::SequenceMeanBatch(data, lengths)),
-                       nn::Sum(nn::SequenceMaxBatch(data, lengths)));
-      },
-      {data});
-}
-
-TEST(MaskedOpsTest, MaskedAttentionGradcheck) {
-  Rng rng(22);
-  nn::Var scores = nn::XavierParam(3, 6, rng);
-  nn::Var values = nn::XavierParam(6, 4, rng);
-  testing::ExpectGradientsMatch(
-      [&] {
-        return nn::Sum(nn::MatMulValidCols(
-            nn::SoftmaxRowsMasked(scores, /*valid=*/4), values, /*valid=*/4));
-      },
-      {scores, values});
-}
-
-TEST(MaskedOpsTest, LstmForwardBatchGradcheck) {
-  Rng rng(23);
-  nn::LstmLayer lstm(3, 4, rng);
-  nn::PaddedBatch in;
-  in.batch = 3;
-  in.max_len = 4;
-  in.lengths = {4, 2, 3};
-  // Non-zero padding rows on purpose: the masked aggregation must not
-  // read them, so their analytic AND numeric gradients are both zero.
-  in.data = nn::XavierParam(in.rows(), 3, rng);
-  std::vector<nn::Var> params = lstm.Parameters();
-  params.push_back(in.data);
-  testing::ExpectGradientsMatch(
-      [&] {
-        return nn::Sum(
-            nn::SequenceMeanBatch(lstm.ForwardBatch(in).data, in.lengths));
-      },
-      params);
-}
-
-// ---------------------------------------------------------------------------
 // Encoder-level bitwise equivalence on a tiny city.
 // ---------------------------------------------------------------------------
 
@@ -441,12 +325,32 @@ std::shared_ptr<synth::CityDataset>* BatchTest::data_ = nullptr;
 std::shared_ptr<const FeatureSpace>* BatchTest::features_ = nullptr;
 
 TEST_F(BatchTest, EncodeValueBatchIsBitwiseEqualToSingleEncodes) {
-  // The acceptance assertion: one padded batched forward returns, for
+  // The acceptance assertion: one packed batched forward returns, for
   // every item, exactly the bytes of an independent single encode —
   // across both sequence models and all three aggregations, under the
   // scalar kernel AND the active one (every serve request is answered
   // by the batched forward, and serve_test compares it to EncodeValue
   // under whatever kernel is active).
+  //
+  // The inputs exercise the forward's longest-first sort and its
+  // scatter back to input order: an ascending-length run, a one-edge
+  // path, two equal-length items and a duplicated item.
+  std::vector<core::PathTimeItem> items = Items(6);
+  std::stable_sort(items.begin(), items.end(),
+                   [](const core::PathTimeItem& a,
+                      const core::PathTimeItem& b) {
+                     return a.path->size() < b.path->size();
+                   });
+  ASSERT_GE(items[4].path->size(), 2u);
+  const graph::Path one_edge{items[0].path->front()};
+  const graph::Path equal_a(items[4].path->begin(),
+                            items[4].path->begin() + 2);
+  const graph::Path equal_b(items[5].path->begin(),
+                            items[5].path->begin() + 2);
+  items.push_back({&one_edge, items[1].depart_time_s});
+  items.push_back({&equal_a, items[2].depart_time_s});
+  items.push_back({&equal_b, items[3].depart_time_s});
+  items.push_back(items[3]);
   for (kern::Kernel kernel : {kern::Kernel::kScalar, kern::ActiveKernel()}) {
     ScopedKernel pinned(kernel);
     for (core::SequenceModel model :
@@ -458,7 +362,6 @@ TEST_F(BatchTest, EncodeValueBatchIsBitwiseEqualToSingleEncodes) {
         cfg.sequence_model = model;
         cfg.aggregation = agg;
         TemporalPathEncoder encoder(features(), cfg);
-        const std::vector<core::PathTimeItem> items = Items(6);
         const auto batch = encoder.EncodeValueBatch(items);
         ASSERT_EQ(batch.size(), items.size());
         for (size_t i = 0; i < items.size(); ++i) {
@@ -475,7 +378,7 @@ TEST_F(BatchTest, EncodeValueBatchIsBitwiseEqualToSingleEncodes) {
 
 TEST_F(BatchTest, EncodeValueBatchIsInvariantToBatchComposition) {
   // Under the ACTIVE kernel (scalar or avx2), an item's embedding must
-  // not depend on what else rode in its batch: every padded row runs
+  // not depend on what else rode in its batch: every packed row runs
   // lane-uniform, row-independent math. The batched service relies on
   // this — idle flushes change batch composition, never outcomes.
   TemporalPathEncoder encoder(features(), TinyEncoder());

@@ -396,11 +396,7 @@ TEST_F(QuantTest, CalibrationIsBitwiseDeterministic) {
 TEST_F(QuantTest, BatchEncodeMatchesSingleEncodeBitwise) {
   // The batched forward runs the recurrent steps in lockstep across
   // items of different path lengths; every row must still be bitwise
-  // the single encode, under either kernel leg.
-  TemporalPathEncoder encoder(features(), TinyEncoder());
-  auto model = QuantizeEncoder(encoder, Calibration(8));
-  ASSERT_TRUE(model.ok()) << model.status().ToString();
-  QuantizedEncoder qe(features(), *std::move(model));
+  // the single encode, under either kernel leg and every aggregation.
 
   // Build items with deliberately mixed lengths by taking prefixes of
   // the calibration paths (a prefix of a valid path is a valid path),
@@ -427,15 +423,25 @@ TEST_F(QuantTest, BatchEncodeMatchesSingleEncodeBitwise) {
 
   std::vector<kern::Kernel> kernels = {kern::Kernel::kScalar};
   if (kern::CpuSupportsAvx2()) kernels.push_back(kern::Kernel::kAvx2);
-  for (kern::Kernel kk : kernels) {
-    ScopedKernel pin(kk);
-    const auto batch = qe.EncodeValueBatch(items);
-    ASSERT_EQ(batch.size(), items.size());
-    for (size_t i = 0; i < items.size(); ++i) {
-      EXPECT_EQ(batch[i],
-                qe.EncodeValue(*items[i].path, items[i].depart_time_s))
-          << "batch row " << i << " diverged from single encode under kernel "
-          << static_cast<int>(kk);
+  for (core::Aggregation agg :
+       {core::Aggregation::kMean, core::Aggregation::kMax,
+        core::Aggregation::kLast}) {
+    core::EncoderConfig cfg = TinyEncoder();
+    cfg.aggregation = agg;
+    TemporalPathEncoder encoder(features(), cfg);
+    auto model = QuantizeEncoder(encoder, Calibration(8));
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    QuantizedEncoder qe(features(), *std::move(model));
+    for (kern::Kernel kk : kernels) {
+      ScopedKernel pin(kk);
+      const auto batch = qe.EncodeValueBatch(items);
+      ASSERT_EQ(batch.size(), items.size());
+      for (size_t i = 0; i < items.size(); ++i) {
+        EXPECT_EQ(batch[i],
+                  qe.EncodeValue(*items[i].path, items[i].depart_time_s))
+            << "batch row " << i << " diverged from single encode under kernel "
+            << static_cast<int>(kk) << " aggregation " << static_cast<int>(agg);
+      }
     }
   }
 }
@@ -485,6 +491,23 @@ TEST_F(QuantTest, ArtifactRoundtripsAndRejectsCorruption) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->generation, 7u);
   EXPECT_EQ(EncodeQuantizedModel(*loaded), EncodeQuantizedModel(*model));
+
+  // Well-formed payloads the forward would misread are refused too: a
+  // layer-1 input panel narrower than d_hidden (read out of bounds) and
+  // an unknown aggregation (silently a zero embedding).
+  QuantizedModel narrow = *model;
+  ASSERT_GE(narrow.layers.size(), 2u);
+  QuantizedTensor& w = narrow.layers[1].w_ih;
+  w.cols = cfg.d_hidden - 1;
+  w.data.resize(static_cast<size_t>(w.rows) * w.cols);
+  EXPECT_EQ(DecodeQuantizedModel(EncodeQuantizedModel(narrow)).status().code(),
+            StatusCode::kDataLoss);
+  QuantizedModel unknown_aggregation = *model;
+  unknown_aggregation.aggregation = 7;
+  EXPECT_EQ(DecodeQuantizedModel(EncodeQuantizedModel(unknown_aggregation))
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
 
   // The decoded twin serves the same bytes as the in-memory one.
   QuantizedEncoder a(features(), *model);

@@ -227,6 +227,34 @@ TEST_F(RouteTest, QuarantineShedsAndReprobesDeterministically) {
   EXPECT_GT(sheds, 40);  // backoff keeps most requests shed
 }
 
+TEST_F(RouteTest, MalformedQueriesNeverQuarantineAHealthyShard) {
+  RouterConfig rc;
+  rc.quarantine_after = 3;
+  auto svc = MakeService("shard0");
+  Router router({{0, "shard0", svc.get()}}, rc);
+
+  // More than quarantine_after malformed requests in a row: each is
+  // refused with InvalidArgument and none counts against the shard.
+  for (uint64_t i = 0; i < 2 * static_cast<uint64_t>(rc.quarantine_after);
+       ++i) {
+    serve::PathQuery q = Query(0, 500 + i);
+    if (i % 2 == 0) {
+      q.path.clear();
+    } else {
+      q.path.back() = (*data_)->network->num_edges();
+    }
+    RouteResult r = router.Dispatch({0, q, 0});
+    EXPECT_EQ(r.error, RouteError::kShardRejected);
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+  }
+  const ShardHealth h = router.Health(0);
+  EXPECT_EQ(h.state, ShardState::kHealthy);
+  EXPECT_EQ(h.failures, 0u);
+  EXPECT_EQ(h.consecutive_failures, 0);
+  EXPECT_EQ(router.Dispatch({0, Query(0, 600), 0}).error, RouteError::kNone);
+  svc->Shutdown();
+}
+
 TEST_F(RouteTest, ShardRecoversWhenProbeSucceeds) {
   RouterConfig rc;
   rc.quarantine_after = 2;

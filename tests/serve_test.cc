@@ -215,6 +215,35 @@ TEST_F(ServeTest, FullRungMatchesTheEncoderExactly) {
   EXPECT_EQ(static_cast<int>(r.embedding.size()), svc.representation_dim());
 }
 
+TEST_F(ServeTest, MalformedQueriesAreRejectedBeforeAdmission) {
+  auto encoder =
+      std::make_shared<TemporalPathEncoder>(features(), TinyEncoder());
+  InferenceService svc(features(), TinyEncoder(), TinyService());
+  svc.InstallModel(encoder, 1);
+  ASSERT_TRUE(svc.Start().ok());
+
+  PathQuery empty = Query(0, 50);
+  empty.path.clear();
+  EXPECT_EQ(svc.SubmitAndWait(empty).status.code(),
+            StatusCode::kInvalidArgument);
+  const int num_edges = (*data_)->network->num_edges();
+  for (int bad_edge : {num_edges, -1}) {
+    PathQuery q = Query(0, 51);
+    q.path.back() = bad_edge;
+    EXPECT_EQ(svc.SubmitAndWait(q).status.code(),
+              StatusCode::kInvalidArgument)
+        << "edge " << bad_edge;
+  }
+  // Refused before admission: no request was counted or ticketed.
+  EXPECT_EQ(obs::GetCounter("serve.requests").value(), 0u);
+
+  const PathQuery q = Query(1, 52);
+  ServeResult r = svc.SubmitAndWait(q);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.rung, Rung::kFull);
+  EXPECT_EQ(r.embedding, encoder->EncodeValue(q.path, q.depart_time_s));
+}
+
 // ---------------------------------------------------------------------------
 // Model lifecycle through the checkpoint layer.
 // ---------------------------------------------------------------------------
@@ -480,6 +509,35 @@ TEST_F(ServeTest, LoadModelWithoutAnArtifactKeepsTheOldLadder) {
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.rung, Rung::kCached);
   EXPECT_EQ(obs::GetCounter("serve.quant_twin_load_failures").value(), 0u);
+}
+
+TEST_F(ServeTest, LoadModelLeavesTheQuantRungDarkForAMisshapenTwin) {
+  const std::string dir = ScratchDir("misshapen_twin");
+  TemporalPathEncoder encoder(features(), TinyEncoder());
+  ASSERT_TRUE(InferenceService::SaveModel(encoder, dir, 8).ok());
+  // Same generation, another d_hidden: the twin cannot stand in for
+  // this encoder.
+  core::EncoderConfig wide = TinyEncoder();
+  wide.d_hidden = 32;
+  TemporalPathEncoder wide_encoder(features(), wide);
+  auto twin = MakeTwin(wide_encoder, 8);
+  ASSERT_NE(twin, nullptr);
+  ASSERT_TRUE(quant::SaveQuantizedModel(dir, twin->model(), 8).ok());
+
+  ServiceConfig cfg = TinyService();
+  cfg.num_workers = 1;
+  cfg.breaker_trip_threshold = 1000;
+  InferenceService svc(features(), TinyEncoder(), cfg);
+  ASSERT_TRUE(svc.LoadModel(dir).ok());  // the generation still loads
+  EXPECT_EQ(svc.model_generation(), 8u);
+  EXPECT_EQ(obs::GetCounter("serve.quant_twin_load_failures").value(), 1u);
+  ASSERT_TRUE(svc.Start().ok());
+  Install("alloc:p=1");
+
+  ServeResult r = svc.SubmitAndWait(Query(0, 305));
+  ASSERT_TRUE(r.status.ok());
+  EXPECT_EQ(r.rung, Rung::kCached);
+  EXPECT_EQ(obs::GetCounter("serve.quant_hits").value(), 0u);
 }
 
 TEST_F(ServeTest, InjectedQueueFullShedsAtAdmission) {
