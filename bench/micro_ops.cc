@@ -101,42 +101,13 @@ BENCHMARK_TEMPLATE(BM_KernGemmTransBAcc, kern::Kernel::kScalar)
 BENCHMARK_TEMPLATE(BM_KernGemmTransBAcc, kern::Kernel::kAvx2)
     ->Arg(0)->Arg(1)->Arg(2)->Name("BM_KernGemmTransBAcc/avx2");
 
-// Int8 quantized-inference kernels (tpr::quant's hot path): the packed
-// int8 GEMM at the same encoder shapes as the fp32 rows above — the
-// GOP/s gap over BM_KernGemmAcc is where the quantized rung's >=2x
-// encode speedup comes from — plus the activation-row quantizer.
-template <kern::Kernel K>
-void BM_KernGemmInt8(benchmark::State& state) {
-  if (!PinKernelOrSkip(state, K)) return;
-  const auto& s = kEncoderShapes[state.range(0)];
-  const int m = s[0], k = s[1], n = s[2];
-  Rng rng(31);
-  std::vector<int8_t> a(static_cast<size_t>(m) * k);
-  std::vector<int8_t> bt(static_cast<size_t>(n) * k);
-  for (auto& v : a) {
-    v = static_cast<int8_t>(static_cast<int>(rng.Uniform() * 255.0) - 127);
-  }
-  for (auto& v : bt) {
-    v = static_cast<int8_t>(static_cast<int>(rng.Uniform() * 255.0) - 127);
-  }
-  std::vector<int32_t> out(static_cast<size_t>(m) * n);
-  for (auto _ : state) {
-    kern::GemmInt8(a.data(), bt.data(), out.data(), m, k, n);
-    benchmark::DoNotOptimize(out.data());
-  }
-  ReportGemmRate(state, m, k, n);
-  kern::SetKernel(kern::ResolveKernelSpec(std::getenv("TPR_KERNEL")));
-}
-BENCHMARK_TEMPLATE(BM_KernGemmInt8, kern::Kernel::kScalar)
-    ->Arg(0)->Arg(1)->Arg(2)->Name("BM_KernGemmInt8/scalar");
-BENCHMARK_TEMPLATE(BM_KernGemmInt8, kern::Kernel::kAvx2)
-    ->Arg(0)->Arg(1)->Arg(2)->Name("BM_KernGemmInt8/avx2");
-
-// The pre-widened variant the quantized encoder actually dispatches
-// (QuantizedEncoder widens each weight panel to int16 once at
-// construction). Shapes are the two the rung runs hot: the lockstep
-// recurrent step at batch 32 and the degenerate single-item step (m=1,
-// pure B-panel streaming — the worst case for the row-tiled kernel).
+// Int8 quantized-inference kernels (tpr::quant's hot path): the int8
+// GEMM the quantized encoder dispatches (QuantizedEncoder widens each
+// weight panel to int16 once at construction), plus the activation-row
+// quantizer. Shapes are the ones the rung runs hot: the packed
+// recurrent step at batch 32, the degenerate single-item step (m=1,
+// pure B-panel streaming — the worst case for the row-tiled kernel) and
+// the input-side projection.
 constexpr int kWideShapes[][3] = {
     {32, 128, 512},  // batched recurrent step, production d_hidden
     {1, 128, 512},   // single-item recurrent step

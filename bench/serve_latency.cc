@@ -22,7 +22,8 @@
 //
 //   quantized — encoder-forward:p=1 with a healthy twin: every cache-miss
 //               request is answered by the int8 rung. The sequential
-//               fp32-vs-int8 EncodeValue timing ratio is recorded as
+//               fp32-vs-int8 EncodeValue timing ratio (both legs run the
+//               inference plan at batch 1) is recorded as
 //               serve.quantized.encode_speedup_vs_full (floor-gated by
 //               `bench_gate.py throughput`), and the probe-MAE ratio of
 //               the twin vs the fp32 encoder as
@@ -387,8 +388,10 @@ int main(int argc, char** argv) {
 
   // ---- Sequential fp32 vs int8 encode timing + probe quality ----
   // One thread, same items, no service in the way: the raw EncodeValue
-  // rate ratio the ~4x-smaller rung weights buy. Always measured at the
-  // production encoder shape — the smoke phases shrink d_hidden to keep
+  // rate ratio the ~4x-smaller rung weights buy. Both EncodeValues run
+  // core/inference_plan.h at batch 1, so the ratio isolates the int8
+  // gate GEMMs and their quantize/dequant epilogues. Always measured at
+  // the production encoder shape — the smoke phases shrink d_hidden to keep
   // the service phases fast, but at that size feature assembly dominates
   // and the GEMM speedup under test would be invisible.
   const core::EncoderConfig timing_config;  // production defaults
@@ -464,8 +467,8 @@ int main(int argc, char** argv) {
   const auto fp32_mae = core::ProbeTravelTimeMae(timing_encoder, probe);
   TPR_CHECK(fp32_mae.ok()) << fp32_mae.status().ToString();
   const auto quant_mae = core::ProbeTravelTimeMaeWith(
-      [&](const graph::Path& path, int64_t depart_time_s) {
-        return timing_twin->EncodeValue(path, depart_time_s);
+      [&](const std::vector<core::PathTimeItem>& items) {
+        return timing_twin->EncodeValueBatch(items);
       },
       timing_twin->representation_dim(), probe);
   TPR_CHECK(quant_mae.ok()) << quant_mae.status().ToString();

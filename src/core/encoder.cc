@@ -130,19 +130,23 @@ std::optional<std::vector<std::vector<float>>>
 TemporalPathEncoder::EncodeValueBatchCancellable(
     const std::vector<PathTimeItem>& items,
     const std::function<bool()>& cancelled) const {
-  if (lstm_ == nullptr) {
-    // Transformer encoders serve nothing; they encode item by item.
-    std::vector<std::vector<float>> out;
-    out.reserve(items.size());
-    for (const PathTimeItem& item : items) {
-      if (cancelled && cancelled()) return std::nullopt;
-      TPR_CHECK(item.path != nullptr);
-      out.push_back(EncodeValue(*item.path, item.depart_time_s));
-    }
-    return out;
+  if (lstm_ != nullptr) return Plan().Encode(items, cancelled);
+  // Transformer encoders serve nothing; they encode item by item.
+  nn::NoGradGuard no_grad;
+  std::vector<std::vector<float>> out;
+  out.reserve(items.size());
+  for (const PathTimeItem& item : items) {
+    if (cancelled && cancelled()) return std::nullopt;
+    TPR_CHECK(item.path != nullptr);
+    const EncodedPath encoded = Encode(*item.path, item.depart_time_s);
+    const nn::Tensor& v = encoded.tpr.value();
+    out.emplace_back(v.data(), v.data() + v.size());
   }
-  // Wired on every call: CopyParamsFrom and checkpoint loads replace
-  // the parameter tensors.
+  return out;
+}
+
+InferencePlan TemporalPathEncoder::Plan() const {
+  TPR_CHECK(lstm_ != nullptr) << "inference plans serve LSTM encoders only";
   InferencePlan plan;
   plan.features = features_.get();
   plan.aggregation = config_.aggregation;
@@ -165,15 +169,12 @@ TemporalPathEncoder::EncodeValueBatchCancellable(
     layer.bias = params[i + 2].value().data();
     plan.layers.push_back(layer);
   }
-  return plan.Encode(items, cancelled);
+  return plan;
 }
 
 std::vector<float> TemporalPathEncoder::EncodeValue(
     const graph::Path& path, int64_t depart_time_s) const {
-  nn::NoGradGuard no_grad;
-  const EncodedPath encoded = Encode(path, depart_time_s);
-  const nn::Tensor& v = encoded.tpr.value();
-  return std::vector<float>(v.data(), v.data() + v.size());
+  return std::move(EncodeValueBatch({{&path, depart_time_s}}).front());
 }
 
 std::vector<nn::Var> TemporalPathEncoder::Parameters() const {

@@ -57,6 +57,8 @@ struct PathTimeItem {
   int64_t depart_time_s = 0;
 };
 
+struct InferencePlan;
+
 /// Output of encoding one temporal path.
 struct EncodedPath {
   nn::Var tpr;        // 1 x d_h temporal path representation (Eq. 8)
@@ -72,6 +74,10 @@ struct EncodedPath {
 ///
 /// The node2vec topology and temporal vectors are frozen inputs; the
 /// categorical feature embeddings and the LSTM are trained end to end.
+/// Encode builds the autograd tape for training. Every inference-only
+/// encode of an LSTM encoder — EncodeValue, EncodeValueBatch, serving,
+/// the probes and int8 calibration — runs the tape-free forward of
+/// core/inference_plan.h, whose rows equal Encode(...).tpr bitwise.
 class TemporalPathEncoder : public nn::Module {
  public:
   TemporalPathEncoder(std::shared_ptr<const FeatureSpace> features,
@@ -80,16 +86,17 @@ class TemporalPathEncoder : public nn::Module {
   /// Encodes a temporal path (edge sequence + departure time).
   EncodedPath Encode(const graph::Path& path, int64_t depart_time_s) const;
 
-  /// Encodes and returns the TPR values only, without building an autograd
-  /// graph (for downstream probes).
+  /// The TPR values only, without building an autograd graph (for
+  /// downstream probes): EncodeValueBatch over a batch of one, so the
+  /// result equals Encode(...).tpr bitwise.
   std::vector<float> EncodeValue(const graph::Path& path,
                                  int64_t depart_time_s) const;
 
-  /// Batched EncodeValue: one TPR per (path, time) item, in order, from
-  /// the tape-free packed forward of core/inference_plan.h. Every row is
-  /// bitwise the corresponding single EncodeValue under either kernel
-  /// (batch_test pins it); tpr::serve answers every request from this
-  /// forward. Transformer encoders encode item by item via EncodeValue.
+  /// One TPR per (path, time) item, in order. LSTM encoders run the
+  /// tape-free packed forward of core/inference_plan.h; every row is
+  /// bitwise Encode(...).tpr under either kernel (batch_test pins it),
+  /// and tpr::serve answers every request from this forward.
+  /// Transformer encoders run Encode item by item with no tape.
   std::vector<std::vector<float>> EncodeValueBatch(
       const std::vector<PathTimeItem>& items) const;
 
@@ -116,6 +123,11 @@ class TemporalPathEncoder : public nn::Module {
 
   /// Input dimensionality fed to the LSTM (spatial [+ temporal]).
   int input_dim() const;
+
+  /// The fp32 inference plan over this encoder's current parameters
+  /// (LSTM encoders only). It borrows the parameter tensors, so wire a
+  /// fresh one after CopyParamsFrom or a checkpoint load replaces them.
+  InferencePlan Plan() const;
 
  private:
   /// The frozen spatio-temporal input sequence for a path (T x input_dim

@@ -108,18 +108,10 @@ int InferencePlan::input_dim() const {
   return dim;
 }
 
-void InferencePlan::FillFeatures(const graph::Path& path,
-                                 int64_t depart_time_s, float* x) const {
-  const float* t_vec = TemporalVector(*this, depart_time_s);
-  const size_t dim = static_cast<size_t>(input_dim());
-  for (size_t t = 0; t < path.size(); ++t) {
-    FillRow(*this, path[t], t_vec, x + t * dim);
-  }
-}
-
 std::optional<std::vector<std::vector<float>>> InferencePlan::Encode(
     const std::vector<PathTimeItem>& items,
-    const std::function<bool()>& cancelled) const {
+    const std::function<bool()>& cancelled,
+    const LayerObserver& observe) const {
   const auto is_cancelled = [&cancelled] { return cancelled && cancelled(); };
   if (is_cancelled()) return std::nullopt;
   const int n = static_cast<int>(items.size());
@@ -170,7 +162,8 @@ std::optional<std::vector<std::vector<float>>> InferencePlan::Encode(
   s.hc.resize(2 * static_cast<size_t>(h));
   s.act.resize(5 * static_cast<size_t>(h));
   int in_dim = in0;
-  for (const PlanLayer& layer : layers) {
+  for (size_t l = 0; l < layers.size(); ++l) {
+    const PlanLayer& layer = layers[l];
     InputGates(*this, layer, s.x.data(), rows, in_dim, s.gates.data(), s);
     s.y.resize(static_cast<size_t>(rows) * h);
     std::fill(s.cell.begin(), s.cell.end(), 0.0f);
@@ -188,6 +181,11 @@ std::optional<std::vector<std::vector<float>>> InferencePlan::Encode(
                   s.y.data() + packed(t, r) * h);
         std::copy(s.hc.begin() + h, s.hc.end(), c);
       }
+    }
+    if (observe) {
+      observe(static_cast<int>(l),
+              {s.x.data(), static_cast<size_t>(rows) * in_dim},
+              {s.y.data(), static_cast<size_t>(rows) * h});
     }
     std::swap(s.x, s.y);
     in_dim = h;

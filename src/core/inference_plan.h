@@ -1,10 +1,12 @@
 #ifndef TPR_CORE_INFERENCE_PLAN_H_
 #define TPR_CORE_INFERENCE_PLAN_H_
 
-// The one serving forward of the LSTM temporal path encoder, for both
-// precisions (DESIGN.md §13-14): TemporalPathEncoder::EncodeValueBatch
-// runs it at fp32, quant::QuantizedEncoder at int8. It builds no
-// autograd tape; weights are borrowed and buffers are per-thread scratch.
+// The one inference forward of the LSTM temporal path encoder, for both
+// precisions (DESIGN.md §13-14): TemporalPathEncoder::EncodeValue and
+// EncodeValueBatch run it at fp32, quant::QuantizedEncoder at int8, and
+// quant::QuantizeEncoder calibrates through the fp32 plan under a
+// scalar kern::ThreadKernelPin. It builds no autograd tape; weights are
+// borrowed and buffers are per-thread scratch.
 //
 // Items are stable-sorted longest first and packed time-major with no
 // padding: the rows of step t are the items still active at t, so the
@@ -19,12 +21,14 @@
 //
 // Bitwise contract: GEMM rows are independent of the other rows of a
 // call and every other op is per row, so a row's bits never depend on
-// its batch. An fp32 row equals TemporalPathEncoder::EncodeValue under
-// either kernel; an int8 batch row equals the int8 single encode.
+// its batch. An fp32 row equals the tape's
+// TemporalPathEncoder::Encode(...).tpr under either kernel; an int8
+// batch row equals the int8 single encode.
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/encoder.h"
@@ -69,23 +73,25 @@ struct InferencePlan {
   PlanTable road_type, lanes, oneway, signal;
   std::vector<PlanLayer> layers;
 
+  /// Sees each layer once its forward is done: the layer index, its
+  /// packed input rows and its packed hidden rows (quant's calibration
+  /// records activation ranges from these).
+  using LayerObserver = std::function<void(
+      int layer, std::span<const float> input, std::span<const float> hidden)>;
+
   /// Width of one feature row: the four table widths, both node2vec
   /// endpoints, and the temporal vector when use_temporal.
   int input_dim() const;
 
-  /// Writes the path's T feature rows, contiguously, to `x` (T *
-  /// input_dim() floats). Also the feature assembly of quant's
-  /// calibration forward.
-  void FillFeatures(const graph::Path& path, int64_t depart_time_s,
-                    float* x) const;
-
   /// Encodes every item (non-empty paths) and returns one TPR per item,
   /// in input order. Polls `cancelled` (may be empty) before feature
   /// assembly, before the LSTM and before aggregation, and returns
-  /// nullopt as soon as it reports true.
+  /// nullopt as soon as it reports true. Calls `observe` (may be empty)
+  /// once per layer.
   std::optional<std::vector<std::vector<float>>> Encode(
       const std::vector<PathTimeItem>& items,
-      const std::function<bool()>& cancelled) const;
+      const std::function<bool()>& cancelled,
+      const LayerObserver& observe = {}) const;
 };
 
 }  // namespace tpr::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/rng.h"
 
@@ -79,28 +80,45 @@ bool AllParametersFinite(const TemporalPathEncoder& encoder) {
 StatusOr<double> ProbeTravelTimeMae(const TemporalPathEncoder& encoder,
                                     const ProbeSet& probe) {
   return ProbeTravelTimeMaeWith(
-      [&encoder](const graph::Path& path, int64_t depart_time_s) {
-        return encoder.EncodeValue(path, depart_time_s);
+      [&encoder](const std::vector<PathTimeItem>& items) {
+        return encoder.EncodeValueBatch(items);
       },
       encoder.representation_dim(), probe);
 }
 
-StatusOr<double> ProbeTravelTimeMaeWith(
-    const std::function<std::vector<float>(const graph::Path&, int64_t)>&
-        embed,
-    int representation_dim, const ProbeSet& probe) {
+StatusOr<double> ProbeTravelTimeMaeWith(const BatchEmbedFn& embed,
+                                        int representation_dim,
+                                        const ProbeSet& probe) {
   const size_t n = probe.queries.size();
   if (n == 0) return Status::InvalidArgument("empty probe set");
   const size_t d = static_cast<size_t>(representation_dim) + 1;
 
-  // Embed every probe query once (bias feature appended).
+  // Embed every probe query once, in one batch.
+  std::vector<PathTimeItem> items;
+  items.reserve(n);
+  for (const ProbeQuery& q : probe.queries) {
+    items.push_back({&q.path, q.depart_time_s});
+  }
+  const std::vector<std::vector<float>> rows = embed(items);
+  if (rows.size() != n) {
+    return Status::InvalidArgument(
+        "probe embedding returned " + std::to_string(rows.size()) +
+        " rows for " + std::to_string(n) + " queries");
+  }
+
+  // Design matrix with the bias feature appended.
   std::vector<double> x(n * d, 1.0);
   std::vector<double> y(n);
   for (size_t i = 0; i < n; ++i) {
-    const ProbeQuery& q = probe.queries[i];
-    const std::vector<float> e = embed(q.path, q.depart_time_s);
-    for (size_t j = 0; j + 1 < d; ++j) x[i * d + j] = e[j];
-    y[i] = q.travel_time_s;
+    const std::vector<float>& e = rows[i];
+    if (e.size() + 1 != d) {
+      return Status::InvalidArgument(
+          "probe embedding row " + std::to_string(i) + " has width " +
+          std::to_string(e.size()) + ", want " +
+          std::to_string(representation_dim));
+    }
+    std::copy(e.begin(), e.end(), x.begin() + i * d);
+    y[i] = probe.queries[i].travel_time_s;
   }
 
   // Normal equations: (X^T X + lambda I) w = X^T y.

@@ -50,22 +50,28 @@ ProbeSet BuildProbeSet(const synth::CityDataset& data, size_t n,
 bool AllParametersFinite(const TemporalPathEncoder& encoder);
 
 /// Travel-time MAE of a ridge-regression read-out over the encoder's
-/// embeddings of the probe queries: fit w on (embedding + bias) -> label
-/// in closed form (normal equations + Cholesky), report mean |error| on
-/// the probe set itself. Deterministic; InvalidArgument on an empty
-/// probe set, Internal if the solve fails (non-finite embeddings).
+/// embeddings of the probe queries (one EncodeValueBatch call): fit w on
+/// (embedding + bias) -> label in closed form (normal equations +
+/// Cholesky), report mean |error| on the probe set itself.
+/// Deterministic; InvalidArgument on an empty probe set, Internal if the
+/// solve fails (non-finite embeddings).
 StatusOr<double> ProbeTravelTimeMae(const TemporalPathEncoder& encoder,
                                     const ProbeSet& probe);
 
-/// Same read-out as ProbeTravelTimeMae over an arbitrary embedding
-/// function — used to score the int8-quantized twin of a candidate on
-/// the identical probe set, making fp32 and quantized MAE directly
-/// comparable. `embed` must return `representation_dim` floats for every
-/// probe query.
-StatusOr<double> ProbeTravelTimeMaeWith(
-    const std::function<std::vector<float>(const graph::Path&, int64_t)>&
-        embed,
-    int representation_dim, const ProbeSet& probe);
+/// Maps a batch of (path, departure) items to one embedding row each,
+/// in order.
+using BatchEmbedFn = std::function<std::vector<std::vector<float>>(
+    const std::vector<PathTimeItem>&)>;
+
+/// Same read-out as ProbeTravelTimeMae over an arbitrary batch embedding
+/// function, called once with every probe query — used to score the
+/// int8-quantized twin of a candidate on the identical probe set, making
+/// fp32 and quantized MAE directly comparable. InvalidArgument when
+/// `embed` returns a row count other than the query count or a row
+/// whose width is not `representation_dim`.
+StatusOr<double> ProbeTravelTimeMaeWith(const BatchEmbedFn& embed,
+                                        int representation_dim,
+                                        const ProbeSet& probe);
 
 }  // namespace tpr::core
 

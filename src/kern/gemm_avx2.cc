@@ -288,74 +288,6 @@ inline int32_t HsumI32(__m256i v) {
   return _mm_cvtsi128_si32(s);
 }
 
-// Sum of products of 16 int8 pairs: widen both sides to int16 and use
-// madd_epi16 (each int32 lane gets one pair-sum; |p| <= 2 * 127^2 so no
-// int16 stage can overflow). Integer adds are exact, so any summation
-// order gives the same bits as the scalar kernel.
-inline __m256i Dot16I8(const int8_t* a, const int8_t* b, __m256i acc) {
-  const __m256i va =
-      _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(a)));
-  const __m256i vb =
-      _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(b)));
-  return _mm256_add_epi32(acc, _mm256_madd_epi16(va, vb));
-}
-
-}  // namespace
-
-void GemmInt8(const int8_t* a, const int8_t* bt, int32_t* out, int m, int k,
-              int n) {
-  // out[i, j] = dot(a_row_i, bt_row_j): the same contiguous-dot shape as
-  // GemmTransBAcc, 16 bytes per step, 4 bt rows sharing each A load.
-  for (int i = 0; i < m; ++i) {
-    const int8_t* ar = a + static_cast<size_t>(i) * k;
-    int32_t* out_row = out + static_cast<size_t>(i) * n;
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-      __m256i acc0 = _mm256_setzero_si256();
-      __m256i acc1 = _mm256_setzero_si256();
-      __m256i acc2 = _mm256_setzero_si256();
-      __m256i acc3 = _mm256_setzero_si256();
-      const int8_t* b0 = bt + static_cast<size_t>(j) * k;
-      const int8_t* b1 = b0 + k;
-      const int8_t* b2 = b1 + k;
-      const int8_t* b3 = b2 + k;
-      int kk = 0;
-      for (; kk + 16 <= k; kk += 16) {
-        acc0 = Dot16I8(ar + kk, b0 + kk, acc0);
-        acc1 = Dot16I8(ar + kk, b1 + kk, acc1);
-        acc2 = Dot16I8(ar + kk, b2 + kk, acc2);
-        acc3 = Dot16I8(ar + kk, b3 + kk, acc3);
-      }
-      int32_t t0 = HsumI32(acc0), t1 = HsumI32(acc1), t2 = HsumI32(acc2),
-              t3 = HsumI32(acc3);
-      for (; kk < k; ++kk) {
-        const int32_t av = ar[kk];
-        t0 += av * b0[kk];
-        t1 += av * b1[kk];
-        t2 += av * b2[kk];
-        t3 += av * b3[kk];
-      }
-      out_row[j] = t0;
-      out_row[j + 1] = t1;
-      out_row[j + 2] = t2;
-      out_row[j + 3] = t3;
-    }
-    for (; j < n; ++j) {
-      const int8_t* br = bt + static_cast<size_t>(j) * k;
-      __m256i acc = _mm256_setzero_si256();
-      int kk = 0;
-      for (; kk + 16 <= k; kk += 16) acc = Dot16I8(ar + kk, br + kk, acc);
-      int32_t s = HsumI32(acc);
-      for (; kk < k; ++kk) {
-        s += static_cast<int32_t>(ar[kk]) * static_cast<int32_t>(br[kk]);
-      }
-      out_row[j] = s;
-    }
-  }
-}
-
-namespace {
-
 // 16 int16 pairs per step, both operands already widened: one madd and
 // one add per 16 MACs, with no per-iteration sign extension.
 inline __m256i Dot16I16(const int16_t* a, const int16_t* b, __m256i acc) {

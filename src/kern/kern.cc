@@ -26,9 +26,11 @@ void GemmAcc(const float* a, const float* b, float* out, int m, int k,
              int n) {
   // Blocked i-k-j: for each (j, kk) tile, the touched rows of b stay hot
   // in cache while every row of a streams through. kk remains increasing
-  // for each output element.
-  for (int j0 = 0; j0 < n; j0 += kTile) {
-    const int j1 = std::min(n, j0 + kTile);
+  // for each output element. A single row reuses no tile, so it sweeps
+  // each row of b whole (twice as fast at the recurrent-step shape).
+  const int j_tile = m == 1 ? n : kTile;
+  for (int j0 = 0; j0 < n; j0 += j_tile) {
+    const int j1 = std::min(n, j0 + j_tile);
     for (int k0 = 0; k0 < k; k0 += kTile) {
       const int k1 = std::min(k, k0 + kTile);
       for (int i = 0; i < m; ++i) {
@@ -87,33 +89,12 @@ void GemmTransBAcc(const float* a, const float* b, float* out, int m, int k,
   }
 }
 
-void GemmInt8(const int8_t* a, const int8_t* bt, int32_t* out, int m, int k,
-              int n) {
+void GemmInt8Wide(const int8_t* a, const int16_t* bt, int32_t* out, int m,
+                  int k, int n) {
   // Same j-blocked shape as GemmTransBAcc: a tile of bt rows is reused
   // across every row of a. Summation order is irrelevant here — the
   // int32 accumulation is exact — but the blocking keeps the packed
   // weight panel hot.
-  for (int j0 = 0; j0 < n; j0 += kTile) {
-    const int j1 = std::min(n, j0 + kTile);
-    for (int i = 0; i < m; ++i) {
-      const int8_t* a_row = a + static_cast<size_t>(i) * k;
-      int32_t* out_row = out + static_cast<size_t>(i) * n;
-      for (int j = j0; j < j1; ++j) {
-        const int8_t* b_row = bt + static_cast<size_t>(j) * k;
-        int32_t s = 0;
-        for (int kk = 0; kk < k; ++kk) {
-          s += static_cast<int32_t>(a_row[kk]) *
-               static_cast<int32_t>(b_row[kk]);
-        }
-        out_row[j] = s;
-      }
-    }
-  }
-}
-
-void GemmInt8Wide(const int8_t* a, const int16_t* bt, int32_t* out, int m,
-                  int k, int n) {
-  // Identical math to GemmInt8; the weights are merely stored widened.
   for (int j0 = 0; j0 < n; j0 += kTile) {
     const int j1 = std::min(n, j0 + kTile);
     for (int i = 0; i < m; ++i) {
@@ -136,6 +117,10 @@ void GemmInt8Wide(const int8_t* a, const int16_t* bt, int32_t* out, int m,
 
 // -1 = unresolved; otherwise the int value of the Kernel enum.
 std::atomic<int> g_kernel{-1};
+
+// The calling thread's ThreadKernelPin: -1 = none, otherwise the int
+// value of the Kernel enum. Checked before g_kernel.
+thread_local int t_pinned = -1;
 
 }  // namespace
 
@@ -168,6 +153,7 @@ Kernel ResolveKernelSpec(const char* spec) {
 }
 
 Kernel ActiveKernel() {
+  if (t_pinned >= 0) return static_cast<Kernel>(t_pinned);
   int k = g_kernel.load(std::memory_order_acquire);
   if (k < 0) {
     const Kernel resolved = ResolveKernelSpec(std::getenv("TPR_KERNEL"));
@@ -188,6 +174,14 @@ void SetKernel(Kernel k) {
   g_kernel.store(static_cast<int>(k), std::memory_order_release);
   obs::GetGauge("kern.active").Set(static_cast<double>(static_cast<int>(k)));
 }
+
+ThreadKernelPin::ThreadKernelPin(Kernel k) : previous_(t_pinned) {
+  TPR_CHECK(k == Kernel::kScalar || CpuSupportsAvx2())
+      << "cannot pin avx2 kernels: unsupported on this CPU/build";
+  t_pinned = static_cast<int>(k);
+}
+
+ThreadKernelPin::~ThreadKernelPin() { t_pinned = previous_; }
 
 void GemmAcc(const float* a, const float* b, float* out, int m, int k,
              int n) {
@@ -223,22 +217,6 @@ void GemmTransBAcc(const float* a, const float* b, float* out, int m, int k,
   }
 #endif
   scalar::GemmTransBAcc(a, b, out, m, k, n);
-}
-
-void GemmInt8(const int8_t* a, const int8_t* bt, int32_t* out, int m, int k,
-              int n) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    std::memset(out, 0, static_cast<size_t>(m) * n * sizeof(int32_t));
-    return;
-  }
-#if !defined(TPR_NO_AVX2)
-  if (ActiveKernel() == Kernel::kAvx2) {
-    avx2::GemmInt8(a, bt, out, m, k, n);
-    return;
-  }
-#endif
-  scalar::GemmInt8(a, bt, out, m, k, n);
 }
 
 void GemmInt8Wide(const int8_t* a, const int16_t* btw, int32_t* out, int m,
@@ -310,14 +288,6 @@ void QuantizeRow(const float* x, float inv_scale, int8_t* q, int n) {
     if (r < -127.0f) r = -127.0f;
     q[i] = static_cast<int8_t>(r);
   }
-}
-
-void AddSigmoid(const float* x, const float* b, float* y, int n) {
-  for (int i = 0; i < n; ++i) y[i] = SigmoidScalar(x[i] + b[i]);
-}
-
-void AddTanh(const float* x, const float* b, float* y, int n) {
-  for (int i = 0; i < n; ++i) y[i] = std::tanh(x[i] + b[i]);
 }
 
 void HadamardAcc(const float* a, const float* b, float* out, int n) {

@@ -19,7 +19,8 @@
 // CPU supports AVX2+FMA. Pinning TPR_KERNEL makes any run bitwise
 // reproducible on any machine. Requesting avx2 on hardware without it is
 // a hard error, never a silent fallback. Tests and benches may switch
-// kernels mid-process via SetKernel.
+// kernels mid-process via SetKernel; ThreadKernelPin overrides the
+// kernel for one thread only (quant's calibration runs under it).
 
 #include <cmath>
 #include <cstddef>
@@ -39,6 +40,21 @@ Kernel ActiveKernel();
 /// Overrides the active kernel (tests, benches). Fatal if `k` is not
 /// supported on this CPU.
 void SetKernel(Kernel k);
+
+/// Pins the kernel for the calling thread only: while the pin lives,
+/// ActiveKernel() returns `k` on this thread, and every other thread
+/// keeps seeing the process kernel. Pins nest; each one restores the
+/// pin it replaced. Fatal if `k` is not supported on this CPU.
+class ThreadKernelPin {
+ public:
+  explicit ThreadKernelPin(Kernel k);
+  ~ThreadKernelPin();
+  ThreadKernelPin(const ThreadKernelPin&) = delete;
+  ThreadKernelPin& operator=(const ThreadKernelPin&) = delete;
+
+ private:
+  int previous_;  // the enclosing pin, or -1 for none
+};
 
 /// "scalar" or "avx2".
 const char* KernelName(Kernel k);
@@ -69,12 +85,6 @@ void GemmTransBAcc(const float* a, const float* b, float* out, int m, int k,
 // FMA (same values to within one ulp per element).
 // ---------------------------------------------------------------------------
 
-/// y[i] = sigmoid(x[i] + b[i])   (numerically-stable two-branch sigmoid)
-void AddSigmoid(const float* x, const float* b, float* y, int n);
-
-/// y[i] = tanh(x[i] + b[i])
-void AddTanh(const float* x, const float* b, float* y, int n);
-
 /// out[i] += a[i] * b[i]         (Hadamard-accumulate)
 void HadamardAcc(const float* a, const float* b, float* out, int n);
 
@@ -86,28 +96,23 @@ void AddAcc(const float* x, float* y, int n);
 
 // ---------------------------------------------------------------------------
 // Int8 inference kernels (tpr::quant). Integer accumulation is exact, so
-// — unlike the fp32 GEMMs above — the scalar and avx2 GemmInt8 produce
-// bitwise-identical int32 results; the avx2 form only reorders an
-// associative integer sum. The dequant epilogues are scalar-only (plain
-// mul + add, no FMA) so the quantized forward is identical under either
-// kernel up to the fused cell, which dispatches like the fp32 path.
+// — unlike the fp32 GEMMs above — the scalar and avx2 GemmInt8Wide
+// produce bitwise-identical int32 results; the avx2 form only reorders
+// an associative integer sum. The dequant epilogues are scalar-only
+// (plain mul + add, no FMA) so the quantized forward is identical under
+// either kernel up to the fused cell, which dispatches like the fp32
+// path.
 // ---------------------------------------------------------------------------
 
-/// out(m x n) = a(m x k, int8) * bt(n x k, int8)^T, int32 accumulation
-/// (overwrite, not accumulate). bt holds the weight matrix pre-packed
-/// with each output channel's k inputs contiguous, so every output
-/// element is one contiguous int8 dot. 127 * 127 * k fits int32 for any
-/// k < 2^16, far above every model shape here.
-void GemmInt8(const int8_t* a, const int8_t* bt, int32_t* out, int m, int k,
-              int n);
-
-/// Same contract and bit-identical results as GemmInt8, but the packed
-/// weight panel arrives pre-widened to int16 (btw[i] == int16(bt[i])).
-/// The serving twin keeps this widened copy in memory beside the int8
-/// artifact: the avx2 inner loop then loads 16 weight lanes per step
-/// with no per-iteration sign extension, which is where the quantized
-/// rung's encode-rate headroom over fp32 comes from. Integer math is
-/// exact, so scalar, avx2, and GemmInt8 all agree bitwise.
+/// out(m x n) = a(m x k, int8) * btw(n x k)^T, int32 accumulation
+/// (overwrite, not accumulate). btw holds the int8 weight matrix
+/// pre-packed with each output channel's k inputs contiguous and
+/// pre-widened to int16 (btw[i] == int16(bt[i])), so every output
+/// element is one contiguous dot. The serving twin keeps this widened
+/// copy in memory beside the int8 artifact: the avx2 inner loop then
+/// loads 16 weight lanes per step with no per-iteration sign extension.
+/// 127 * 127 * k fits int32 for any k < 2^16, far above every model
+/// shape here.
 void GemmInt8Wide(const int8_t* a, const int16_t* btw, int32_t* out, int m,
                   int k, int n);
 

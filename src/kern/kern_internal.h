@@ -11,8 +11,6 @@
 namespace tpr::kern::avx2 {
 
 void GemmAcc(const float* a, const float* b, float* out, int m, int k, int n);
-void GemmInt8(const int8_t* a, const int8_t* bt, int32_t* out, int m, int k,
-              int n);
 void GemmInt8Wide(const int8_t* a, const int16_t* btw, int32_t* out, int m,
                   int k, int n);
 void DequantBias(const int32_t* acc, float a_scale, const float* b_scales,

@@ -1,10 +1,10 @@
 #include "quant/quant.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/serialize.h"
@@ -35,8 +35,8 @@ core::PlanTable View(const FloatTable& t) {
   return core::PlanTable{t.data.data(), t.rows, t.cols};
 }
 
-/// An int8 plan over the model's tables, without layers: the feature
-/// assembly of calibration, and the base the twin adds its layers to.
+/// An int8 plan over the model's tables, without layers: the base the
+/// twin adds its layers to.
 core::InferencePlan TablesPlan(const core::FeatureSpace* features,
                                const QuantizedModel& model) {
   TPR_CHECK(features != nullptr);
@@ -51,58 +51,6 @@ core::InferencePlan TablesPlan(const core::FeatureSpace* features,
   plan.oneway = View(model.oneway_table);
   plan.signal = View(model.signal_table);
   return plan;
-}
-
-/// The fp32 weight views of one LSTM layer, in Parameters() order.
-struct FpLayer {
-  const nn::Tensor* w_ih;  // input x 4h
-  const nn::Tensor* w_hh;  // h x 4h
-  const nn::Tensor* bias;  // 1 x 4h
-};
-
-/// Scalar fp32 reference forward of one layer (fixed loop order,
-/// std::exp-based cell) feeding the min/max observers. This is the
-/// calibration anchor: it never touches the dispatched kernels, so the
-/// observed ranges — and therefore the artifact bytes — are identical
-/// under any TPR_KERNEL / TPR_THREADS setting.
-void ReferenceLayerForward(const FpLayer& layer, const std::vector<float>& x,
-                           int T, int in_dim, int h, std::vector<float>* out,
-                           MinMaxObserver* in_obs, MinMaxObserver* hid_obs) {
-  in_obs->Observe(x.data(), x.size());
-  const float* w_ih = layer.w_ih->data();
-  const float* w_hh = layer.w_hh->data();
-  const float* bias = layer.bias->data();
-  const int n4 = 4 * h;
-  out->assign(static_cast<size_t>(T) * h, 0.0f);
-  std::vector<float> h_prev(h, 0.0f), c_prev(h, 0.0f), gates(n4, 0.0f);
-  for (int t = 0; t < T; ++t) {
-    const float* xr = x.data() + static_cast<size_t>(t) * in_dim;
-    for (int j = 0; j < n4; ++j) gates[j] = bias[j];
-    for (int kk = 0; kk < in_dim; ++kk) {
-      const float xv = xr[kk];
-      if (xv == 0.0f) continue;
-      const float* wr = w_ih + static_cast<size_t>(kk) * n4;
-      for (int j = 0; j < n4; ++j) gates[j] += xv * wr[j];
-    }
-    for (int kk = 0; kk < h; ++kk) {
-      const float hv = h_prev[kk];
-      if (hv == 0.0f) continue;
-      const float* wr = w_hh + static_cast<size_t>(kk) * n4;
-      for (int j = 0; j < n4; ++j) gates[j] += hv * wr[j];
-    }
-    float* hr = out->data() + static_cast<size_t>(t) * h;
-    for (int j = 0; j < h; ++j) {
-      const float ig = kern::SigmoidScalar(gates[j]);
-      const float fg = kern::SigmoidScalar(gates[h + j]);
-      const float gg = std::tanh(gates[2 * h + j]);
-      const float og = kern::SigmoidScalar(gates[3 * h + j]);
-      const float c = fg * c_prev[j] + ig * gg;
-      c_prev[j] = c;
-      hr[j] = og * std::tanh(c);
-    }
-    std::copy(hr, hr + h, h_prev.begin());
-    hid_obs->Observe(hr, static_cast<size_t>(h));
-  }
 }
 
 void WriteFloatTable(ckpt::Writer& w, const FloatTable& t) {
@@ -212,13 +160,11 @@ StatusOr<QuantizedModel> QuantizeEncoder(
   model.oneway_table = CopyTable(params[2].value());
   model.signal_table = CopyTable(params[3].value());
 
-  std::vector<FpLayer> fp_layers(num_layers);
   model.layers.resize(num_layers);
   for (int l = 0; l < num_layers; ++l) {
     const nn::Tensor& w_ih = params[4 + 3 * l].value();
     const nn::Tensor& w_hh = params[4 + 3 * l + 1].value();
     const nn::Tensor& bias = params[4 + 3 * l + 2].value();
-    fp_layers[l] = {&w_ih, &w_hh, &bias};
     QuantizedLstmLayer& q = model.layers[l];
     q.w_ih = QuantizePerChannel(w_ih);
     q.w_hh = QuantizePerChannel(w_hh);
@@ -226,30 +172,26 @@ StatusOr<QuantizedModel> QuantizeEncoder(
   }
 
   // Activation observers over the calibration set, parallel over items.
-  // Each item reduces into its own observer slot; the final sequential
-  // merge is a max-reduction, so the result is bitwise identical at any
-  // thread count.
+  // Each task runs the encoder's own fp32 plan on one item with the
+  // scalar kernel pinned to its thread, so the observed ranges — and
+  // the artifact bytes — do not depend on TPR_KERNEL, even while other
+  // threads encode under avx2. Each item reduces into its own observer
+  // slot; the final sequential merge is a max-reduction, so the result
+  // is bitwise identical at any thread count.
   const int n_items = static_cast<int>(calibration.size());
   std::vector<std::vector<MinMaxObserver>> item_in(n_items),
       item_hid(n_items);
-  const core::InferencePlan features_plan =
-      TablesPlan(encoder.features().get(), model);
+  const core::InferencePlan plan = encoder.Plan();
   par::DefaultPool().ParallelFor(n_items, [&](int i) {
     item_in[i].resize(num_layers);
     item_hid[i].resize(num_layers);
-    const core::PathTimeItem& item = calibration[i];
-    TPR_CHECK(item.path != nullptr && !item.path->empty());
-    const int T = static_cast<int>(item.path->size());
-    std::vector<float> x(static_cast<size_t>(T) * model.input_dim);
-    features_plan.FillFeatures(*item.path, item.depart_time_s, x.data());
-    int in_dim = model.input_dim;
-    std::vector<float> next;
-    for (int l = 0; l < num_layers; ++l) {
-      ReferenceLayerForward(fp_layers[l], x, T, in_dim, model.d_hidden,
-                            &next, &item_in[i][l], &item_hid[i][l]);
-      x = std::move(next);
-      in_dim = model.d_hidden;
-    }
+    kern::ThreadKernelPin scalar(kern::Kernel::kScalar);
+    plan.Encode({calibration[i]}, /*cancelled=*/{},
+                [&](int l, std::span<const float> input,
+                    std::span<const float> hidden) {
+                  item_in[i][l].Observe(input.data(), input.size());
+                  item_hid[i][l].Observe(hidden.data(), hidden.size());
+                });
   });
   for (int l = 0; l < num_layers; ++l) {
     MinMaxObserver in_obs, hid_obs;

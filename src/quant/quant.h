@@ -3,8 +3,8 @@
 
 // Post-training int8 quantization of the temporal path encoder
 // (tpr::quant). The serving ladder's intermediate rung: ~4x smaller
-// weights and a >=2x faster forward than fp32 EncodeValue, at a probe
-// MAE gated within a configurable delta of the fp32 candidate by
+// weights and int8 gate GEMMs inside fp32's own inference forward, at a
+// probe MAE gated within a configurable delta of the fp32 candidate by
 // tpr::rollout.
 //
 // Scheme: per-channel symmetric int8. Every output channel c of a
@@ -13,20 +13,18 @@
 // <= scale_c / 2 element-wise. Activations use static per-layer scales
 // from min/max observers run over a calibration set (the golden probe
 // queries): the observed range maps to [-127, 127]; runtime values
-// beyond it saturate. Observers reduce with max, which is
+// beyond it saturate. The ranges come from the encoder's own fp32
+// inference plan (core/inference_plan.h), run per calibration item with
+// the scalar kernel pinned to the calibrating thread
+// (kern::ThreadKernelPin). Observers reduce with max, which is
 // order-independent, so calibration is bitwise identical run-to-run,
-// across thread counts, and across TPR_KERNEL legs (the calibration
-// forward is a local scalar fp32 reference, never the dispatched
-// kernels).
+// across thread counts, and across TPR_KERNEL legs.
 //
-// The quantized forward is the fp32 serving forward of
-// core/inference_plan.h with int8 gate GEMMs: exact integer
-// accumulation over construction-time int16-widened panels and
+// The quantized forward is that same plan with int8 gate GEMMs: exact
+// integer accumulation over construction-time int16-widened panels and
 // kernel-independent dequant/quantize epilogues, then the dispatched
 // fused LSTM cell. The projection head is dropped entirely: serving
 // consumes the pre-projection TPR, so the artifact never carries it.
-// Calibration keeps its own scalar forward (DESIGN.md §14) and shares
-// only the plan's feature assembly.
 
 #include <cstdint>
 #include <memory>
@@ -42,8 +40,9 @@
 namespace tpr::quant {
 
 /// Per-channel symmetric int8 matrix, stored pre-packed for
-/// kern::GemmInt8: row c holds output channel c's `cols` weights
-/// contiguously (the transpose of the fp32 (k x n) layout).
+/// kern::GemmInt8Wide (which reads it widened to int16): row c holds
+/// output channel c's `cols` weights contiguously (the transpose of the
+/// fp32 (k x n) layout).
 struct QuantizedTensor {
   int rows = 0;  // output channels (n of the fp32 matrix)
   int cols = 0;  // inputs per channel (k)
@@ -114,8 +113,9 @@ QuantizedTensor QuantizePerChannel(const nn::Tensor& w);
 
 /// Quantizes an LSTM encoder's weights with activation scales calibrated
 /// over `calibration` (typically the golden-probe queries). The
-/// calibration forward is a self-contained scalar fp32 reference — the
-/// result is bitwise independent of TPR_KERNEL and TPR_THREADS.
+/// calibration forward is the encoder's fp32 plan under a per-thread
+/// scalar pin — the result is bitwise independent of TPR_KERNEL and
+/// TPR_THREADS.
 /// FailedPrecondition for transformer encoders, InvalidArgument for an
 /// empty calibration set.
 StatusOr<QuantizedModel> QuantizeEncoder(

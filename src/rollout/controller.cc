@@ -235,8 +235,8 @@ Status RolloutController::ScanForCandidate(TickReport* report,
       auto built = std::make_shared<const quant::QuantizedEncoder>(
           features_, *std::move(qmodel));
       auto twin_mae = core::ProbeTravelTimeMaeWith(
-          [&built](const graph::Path& path, int64_t depart_time_s) {
-            return built->EncodeValue(path, depart_time_s);
+          [&built](const std::vector<core::PathTimeItem>& items) {
+            return built->EncodeValueBatch(items);
           },
           built->representation_dim(), probe_);
       if (!twin_mae.ok()) {

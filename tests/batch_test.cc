@@ -13,6 +13,7 @@
 #include "core/features.h"
 #include "fault/fault.h"
 #include "kern/kern.h"
+#include "nn/autograd.h"
 #include "obs/metrics.h"
 #include "quant/quant.h"
 #include "serve/service.h"
@@ -326,11 +327,11 @@ std::shared_ptr<const FeatureSpace>* BatchTest::features_ = nullptr;
 
 TEST_F(BatchTest, EncodeValueBatchIsBitwiseEqualToSingleEncodes) {
   // The acceptance assertion: one packed batched forward returns, for
-  // every item, exactly the bytes of an independent single encode —
-  // across both sequence models and all three aggregations, under the
-  // scalar kernel AND the active one (every serve request is answered
-  // by the batched forward, and serve_test compares it to EncodeValue
-  // under whatever kernel is active).
+  // every item, exactly the bytes of the tape's single encode
+  // Encode(...).tpr — across both sequence models and all three
+  // aggregations, under the scalar kernel AND the active one (every
+  // serve request is answered by the batched forward, and serve_test
+  // compares it to EncodeValue under whatever kernel is active).
   //
   // The inputs exercise the forward's longest-first sort and its
   // scatter back to input order: an ascending-length run, a one-edge
@@ -365,8 +366,12 @@ TEST_F(BatchTest, EncodeValueBatchIsBitwiseEqualToSingleEncodes) {
         const auto batch = encoder.EncodeValueBatch(items);
         ASSERT_EQ(batch.size(), items.size());
         for (size_t i = 0; i < items.size(); ++i) {
-          EXPECT_EQ(batch[i], encoder.EncodeValue(*items[i].path,
-                                                  items[i].depart_time_s))
+          nn::NoGradGuard no_grad;
+          const core::EncodedPath tape =
+              encoder.Encode(*items[i].path, items[i].depart_time_s);
+          const nn::Tensor& tpr = tape.tpr.value();
+          EXPECT_EQ(batch[i],
+                    std::vector<float>(tpr.data(), tpr.data() + tpr.size()))
               << "item " << i << " kernel " << kern::KernelName(kernel)
               << " model " << static_cast<int>(model) << " aggregation "
               << static_cast<int>(agg);

@@ -560,6 +560,38 @@ TEST_F(ProbeShiftTest, RidgeReadoutSurvivesDegenerateWindows) {
   EXPECT_GT(*collapsed_mae, *healthy_mae);
 }
 
+TEST_F(ProbeShiftTest, ReadoutRejectsMisshapenEmbeddings) {
+  TemporalPathEncoder encoder(features(), TinyEncoder());
+  const ProbeSet probe = BuildProbeSet(data(), 8, 5);
+  ASSERT_EQ(probe.queries.size(), 8u);
+  const int dim = encoder.representation_dim();
+  const auto embed = [&encoder](const std::vector<PathTimeItem>& items) {
+    return encoder.EncodeValueBatch(items);
+  };
+  ASSERT_TRUE(ProbeTravelTimeMaeWith(embed, dim, probe).ok());
+
+  // One row short of the query count.
+  auto missing_row = ProbeTravelTimeMaeWith(
+      [&embed](const std::vector<PathTimeItem>& items) {
+        auto rows = embed(items);
+        rows.pop_back();
+        return rows;
+      },
+      dim, probe);
+  EXPECT_EQ(missing_row.status().code(), StatusCode::kInvalidArgument);
+
+  // One row narrower than representation_dim: reading it would run past
+  // its end.
+  auto narrow_row = ProbeTravelTimeMaeWith(
+      [&embed](const std::vector<PathTimeItem>& items) {
+        auto rows = embed(items);
+        rows[3].pop_back();
+        return rows;
+      },
+      dim, probe);
+  EXPECT_EQ(narrow_row.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(ProbeShiftTest, PostShiftLabelsRaiseTheFrozenEncoderMae) {
   // Relabel the probe paths with ground truth from a closed-road world:
   // a handful of paths get dramatically slower while the rest keep their

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <thread>
 #include <vector>
 
 #include "gradcheck.h"
@@ -157,32 +158,6 @@ TEST(GemmParityTest, EachKernelIsBitwiseDeterministic) {
   }
 }
 
-TEST(ElementwiseParityTest, FusedActivationsMatchScalar) {
-  if (!CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this CPU";
-  for (int n : {1, 7, 15, 16, 17, 64, 100}) {
-    const auto x = RandomVec(n, 7);
-    const auto b = RandomVec(n, 8);
-    std::vector<float> sig_sc(n), sig_vx(n), tanh_sc(n), tanh_vx(n);
-    {
-      ScopedKernel pin(Kernel::kScalar);
-      AddSigmoid(x.data(), b.data(), sig_sc.data(), n);
-      AddTanh(x.data(), b.data(), tanh_sc.data(), n);
-    }
-    {
-      ScopedKernel pin(Kernel::kAvx2);
-      AddSigmoid(x.data(), b.data(), sig_vx.data(), n);
-      AddTanh(x.data(), b.data(), tanh_vx.data(), n);
-    }
-    SCOPED_TRACE(::testing::Message() << "n=" << n);
-    ExpectNearRel(sig_vx, sig_sc, 1e-6f);
-    ExpectNearRel(tanh_vx, tanh_sc, 1e-6f);
-    for (int i = 0; i < n; ++i) {
-      EXPECT_NEAR(sig_sc[i], SigmoidScalar(x[i] + b[i]), 1e-7f);
-      EXPECT_NEAR(tanh_sc[i], std::tanh(x[i] + b[i]), 1e-6f);
-    }
-  }
-}
-
 TEST(ElementwiseParityTest, AccumulatorsMatchScalar) {
   if (!CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this CPU";
   for (int n : {1, 9, 16, 31, 200}) {
@@ -226,6 +201,53 @@ TEST(DispatchTest, ResolveKernelSpec) {
 TEST(DispatchTest, KernelNames) {
   EXPECT_STREQ(KernelName(Kernel::kScalar), "scalar");
   EXPECT_STREQ(KernelName(Kernel::kAvx2), "avx2");
+}
+
+TEST(DispatchTest, ThreadKernelPinIsPerThreadAndNests) {
+  if (!CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this CPU";
+  const int m = 3, k = 37, n = 21;
+  const auto a = RandomVec(static_cast<size_t>(m) * k, 41);
+  const auto b = RandomVec(static_cast<size_t>(k) * n, 42);
+  const size_t on = static_cast<size_t>(m) * n;
+  const auto scalar_out = RunGemm(&GemmAcc, Kernel::kScalar, a, b, m, k, n, on);
+  const auto avx2_out = RunGemm(&GemmAcc, Kernel::kAvx2, a, b, m, k, n, on);
+  ASSERT_NE(scalar_out, avx2_out) << "the legs must be distinguishable";
+  const auto gemm = [&] {
+    std::vector<float> out(on);
+    for (size_t i = 0; i < on; ++i) out[i] = 0.25f * static_cast<float>(i % 7);
+    GemmAcc(a.data(), b.data(), out.data(), m, k, n);
+    return out;
+  };
+
+  ScopedKernel process(Kernel::kAvx2);
+  {
+    ThreadKernelPin scalar(Kernel::kScalar);
+    EXPECT_EQ(ActiveKernel(), Kernel::kScalar);
+    EXPECT_EQ(gemm(), scalar_out);
+    // A second thread still sees the process kernel while the pin lives.
+    Kernel other_kernel = Kernel::kScalar;
+    std::vector<float> other_out;
+    std::thread other([&] {
+      other_kernel = ActiveKernel();
+      other_out = gemm();
+    });
+    other.join();
+    EXPECT_EQ(other_kernel, Kernel::kAvx2);
+    EXPECT_EQ(other_out, avx2_out);
+    {
+      ThreadKernelPin inner(Kernel::kAvx2);
+      EXPECT_EQ(ActiveKernel(), Kernel::kAvx2);
+      {
+        ThreadKernelPin innermost(Kernel::kScalar);
+        EXPECT_EQ(ActiveKernel(), Kernel::kScalar);
+      }
+      EXPECT_EQ(ActiveKernel(), Kernel::kAvx2);
+    }
+    EXPECT_EQ(ActiveKernel(), Kernel::kScalar);
+    EXPECT_EQ(gemm(), scalar_out);
+  }
+  EXPECT_EQ(ActiveKernel(), Kernel::kAvx2);
+  EXPECT_EQ(gemm(), avx2_out);
 }
 
 #if GTEST_HAS_DEATH_TEST

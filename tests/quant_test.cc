@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/features.h"
@@ -133,51 +135,12 @@ TEST(MinMaxObserverTest, MergeIsOrderIndependent) {
 // Int8 GEMM: scalar and avx2 must agree BITWISE (exact integer math).
 // ---------------------------------------------------------------------------
 
-TEST(GemmInt8Test, ScalarAndAvx2AgreeBitwiseOnOddShapes) {
-  if (!kern::CpuSupportsAvx2()) {
-    GTEST_SKIP() << "no avx2 on this CPU";
-  }
-  // Shapes straddle every edge: k below/at/above the 16-lane step, n
-  // below/at/above the 4-row block, m = 1 and many.
-  const int shapes[][3] = {{1, 1, 1},   {1, 15, 3},  {2, 16, 4},
-                           {3, 17, 5},  {5, 31, 7},  {4, 48, 12},
-                           {7, 129, 9}, {6, 64, 64}, {1, 200, 33}};
-  for (const auto& s : shapes) {
-    const int m = s[0], k = s[1], n = s[2];
-    Rng rng(static_cast<uint64_t>(m * 1000 + k * 10 + n));
-    std::vector<int8_t> a(static_cast<size_t>(m) * k);
-    std::vector<int8_t> bt(static_cast<size_t>(n) * k);
-    for (auto& v : a) {
-      v = static_cast<int8_t>(static_cast<int>(rng.Uniform() * 255.0) - 127);
-    }
-    for (auto& v : bt) {
-      v = static_cast<int8_t>(static_cast<int>(rng.Uniform() * 255.0) - 127);
-    }
-    std::vector<int32_t> scalar_out(static_cast<size_t>(m) * n, -1);
-    std::vector<int32_t> avx2_out(static_cast<size_t>(m) * n, -2);
-    {
-      ScopedKernel pin(kern::Kernel::kScalar);
-      kern::GemmInt8(a.data(), bt.data(), scalar_out.data(), m, k, n);
-    }
-    {
-      ScopedKernel pin(kern::Kernel::kAvx2);
-      kern::GemmInt8(a.data(), bt.data(), avx2_out.data(), m, k, n);
-    }
-    EXPECT_EQ(scalar_out, avx2_out) << "m=" << m << " k=" << k << " n=" << n;
-  }
-}
-
-TEST(GemmInt8Test, ZeroInnerDimensionZeroesTheOutput) {
-  int32_t out[4] = {1, 2, 3, 4};
-  kern::GemmInt8(nullptr, nullptr, out, 2, 0, 2);
-  for (int32_t v : out) EXPECT_EQ(v, 0);
-}
-
 TEST(GemmInt8WideTest, MatchesNarrowGemmUnderEveryKernel) {
   // The pre-widened panel changes only how weights are stored, never the
-  // exact int32 accumulation — wide must equal narrow bitwise under both
-  // kernels. Shapes straddle the 16-lane k step, the 4-channel block,
-  // the 2-row register block, and the 32-row L1 tile.
+  // exact int32 accumulation — wide must equal a naive int32 loop over
+  // the narrow int8 panel bitwise under both kernels. Shapes straddle
+  // the 16-lane k step, the 4-channel block, the 2-row register block,
+  // and the 32-row L1 tile.
   const int shapes[][3] = {{1, 1, 1},    {1, 15, 3},  {2, 16, 4},
                            {3, 17, 5},   {5, 31, 7},  {7, 129, 9},
                            {6, 64, 64},  {33, 17, 5}, {40, 16, 8},
@@ -194,8 +157,16 @@ TEST(GemmInt8WideTest, MatchesNarrowGemmUnderEveryKernel) {
       v = static_cast<int8_t>(static_cast<int>(rng.Uniform() * 255.0) - 127);
     }
     const std::vector<int16_t> btw(bt.begin(), bt.end());
-    std::vector<int32_t> narrow_out(static_cast<size_t>(m) * n, -1);
-    kern::GemmInt8(a.data(), bt.data(), narrow_out.data(), m, k, n);
+    std::vector<int32_t> narrow_out(static_cast<size_t>(m) * n, 0);
+    for (int i = 0; i < m; ++i) {
+      for (int j = 0; j < n; ++j) {
+        for (int kk = 0; kk < k; ++kk) {
+          narrow_out[static_cast<size_t>(i) * n + j] +=
+              static_cast<int32_t>(a[static_cast<size_t>(i) * k + kk]) *
+              static_cast<int32_t>(bt[static_cast<size_t>(j) * k + kk]);
+        }
+      }
+    }
     std::vector<kern::Kernel> kernels = {kern::Kernel::kScalar};
     if (kern::CpuSupportsAvx2()) kernels.push_back(kern::Kernel::kAvx2);
     for (kern::Kernel kk : kernels) {
@@ -382,13 +353,43 @@ TEST_F(QuantTest, CalibrationIsBitwiseDeterministic) {
     EXPECT_EQ(EncodeQuantizedModel(*m), reference) << "thread count leaked in";
   }
 
-  // Dispatched avx2: calibration uses its own scalar fp32 reference
-  // forward, so the kernel leg cannot leak in either.
+  // Dispatched avx2: calibration pins the scalar kernel to each of its
+  // tasks, so the kernel leg cannot leak in either.
   if (kern::CpuSupportsAvx2()) {
     ScopedKernel pin(kern::Kernel::kAvx2);
     auto m = QuantizeEncoder(encoder, calibration);
     ASSERT_TRUE(m.ok());
     EXPECT_EQ(EncodeQuantizedModel(*m), reference) << "TPR_KERNEL leaked in";
+  }
+
+  // Process kernel at avx2 while a second thread serves encodes: the
+  // scalar pin stays on the calibrating threads, so neither side's
+  // kernel leaks into the other.
+  if (kern::CpuSupportsAvx2()) {
+    ScopedKernel pin(kern::Kernel::kAvx2);
+    const std::vector<std::vector<float>> avx2_rows =
+        encoder.EncodeValueBatch(calibration);
+    {
+      ScopedKernel scalar(kern::Kernel::kScalar);
+      ASSERT_NE(encoder.EncodeValueBatch(calibration), avx2_rows)
+          << "the kernel legs must be distinguishable";
+    }
+    std::atomic<bool> calibrated{false};
+    int encodes = 0, mismatches = 0;
+    std::thread server([&] {
+      do {
+        if (encoder.EncodeValueBatch(calibration) != avx2_rows) ++mismatches;
+        ++encodes;
+      } while (!calibrated.load());
+    });
+    auto m = QuantizeEncoder(encoder, calibration);
+    calibrated.store(true);
+    server.join();
+    ASSERT_TRUE(m.ok());
+    EXPECT_EQ(EncodeQuantizedModel(*m), reference)
+        << "the concurrent avx2 encodes leaked in";
+    EXPECT_GE(encodes, 1);
+    EXPECT_EQ(mismatches, 0) << "the calibration pin leaked to another thread";
   }
   par::SetDefaultThreads(1);
 }
@@ -464,8 +465,8 @@ TEST_F(QuantTest, QuantizedProbeMaeStaysNearFullPrecision) {
   ASSERT_EQ(qe.representation_dim(), encoder.representation_dim());
 
   auto quant_mae = core::ProbeTravelTimeMaeWith(
-      [&qe](const graph::Path& path, int64_t t) {
-        return qe.EncodeValue(path, t);
+      [&qe](const std::vector<core::PathTimeItem>& items) {
+        return qe.EncodeValueBatch(items);
       },
       qe.representation_dim(), probe);
   ASSERT_TRUE(quant_mae.ok()) << quant_mae.status().ToString();
