@@ -127,16 +127,7 @@ double GenerationProbeMae(const std::string& model_dir, uint64_t generation,
 
 void PrintEvents(const char* who, const std::vector<std::string>& events) {
   for (const std::string& e : events) {
-    std::string line = e;
-    // The promotion resolution embeds a routed-request tally that
-    // depends on worker interleaving (requests admitted while the
-    // clean-count verdict latched); truncate it so the trace stays
-    // bitwise identical across thread counts and runs.
-    if (line.find("promoted") != std::string::npos) {
-      const size_t cut = line.find(" (");
-      if (cut != std::string::npos) line.resize(cut);
-    }
-    std::printf("[trace] %s: %s\n", who, line.c_str());
+    std::printf("[trace] %s: %s\n", who, e.c_str());
   }
 }
 
@@ -521,9 +512,8 @@ int main(int argc, char** argv) {
   TablePrinter table({"Metric", "Value"});
   table.AddRow({"requests ok", std::to_string(stats.ok)});
   table.AddRow({"requests failed", std::to_string(stats.errors)});
-  // canary_served is recorded in the JSON (loosely gated): the last
-  // request or two admitted while a promotion latches race the verdict,
-  // so the count wobbles by ±1 and has no place in the cmp'd trace.
+  table.AddRow({"canary-served requests",
+                std::to_string(stats.canary_served)});
   table.AddRow({"detector windows",
                 std::to_string(obs::GetCounter("drift.windows").value())});
   table.AddRow({"detections",

@@ -129,12 +129,6 @@ void RunBatch(route::Router& router, int city,
 void PrintEvents(const char* who, const std::vector<std::string>& events) {
   for (const std::string& e : events) {
     std::string line = e;
-    // Promotion resolutions embed a routed-request tally that races
-    // worker interleaving; truncate for a thread-invariant trace.
-    if (line.find("promoted") != std::string::npos) {
-      const size_t cut = line.find(" (");
-      if (cut != std::string::npos) line.resize(cut);
-    }
     // Publish failures name the per-run temp dir (embeds the pid).
     const size_t path = line.find(" in /");
     if (path != std::string::npos) line.resize(path);

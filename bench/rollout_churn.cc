@@ -6,9 +6,9 @@
 //                layer idle (no candidate in the directory).
 //   canary     — gen 2 appears, passes validation, canaries a keyed
 //                fraction of traffic, and is promoted after N clean
-//                requests. A benign fault plan (canary-regression:p=0)
-//                keeps the fold predictive, so the promotion lands at a
-//                fixed admission index and the canary counters are exact.
+//                requests. The promotion is folded at admission, so it
+//                lands at a fixed admission index and the canary
+//                counters are exact.
 //   rollback   — gen 3 appears and canaries, but canary-regression:p=1
 //                injects a regression verdict at its first routed
 //                request: automatic rollback + quarantine, incumbent
@@ -234,19 +234,16 @@ int main(int argc, char** argv) {
       RunPhase(service, city.data->unlabeled, steady_requests, &next_id);
   TPR_CHECK(steady.ok == steady.requests);
 
-  // Phase 2: canary. The p=0 plan never fires; it only switches the
-  // service into the predictive fold, pinning the promotion to a fixed
-  // admission index so canary_served is exact.
+  // Phase 2: canary. Gen 2 validates and promotes after N clean
+  // requests.
   std::fprintf(stderr, "[bench] canary phase: %d requests...\n",
                churn_requests);
   TPR_CHECK(serve::InferenceService::SaveModel(gen2, model_dir, 2).ok());
-  InstallSpec("canary-regression:p=0");
   Tick(controller);
   TPR_CHECK(service.canary_status().installed);
   const PhaseStats canary =
       RunPhase(service, city.data->unlabeled, churn_requests, &next_id);
   Tick(controller);
-  fault::ClearPlan();
   TPR_CHECK(canary.ok == canary.requests);
   TPR_CHECK(service.model_generation() == 2);
 

@@ -348,16 +348,16 @@ int main(int argc, char** argv) {
   TPR_CHECK(outage.ok() == outage.requests);
   TPR_CHECK(obs::GetCounter("serve.breaker_trips").value() > trips0);
 
-  // Recovery: window 1 serializes admissions against completions, so the
-  // open-window drain, the successful probe, and the re-close land at
-  // fixed request positions.
+  // Recovery: the open-window drain, the successful probe, and the
+  // re-close are folded at admission, so they land at fixed request
+  // positions.
   const int recovery_requests = 60;
   std::fprintf(stderr, "[bench] recovery phase: %d requests...\n",
                recovery_requests);
   fault::ClearPlan();
   const PhaseStats recovery =
       RunPhase(service, city.data->unlabeled, model_dir, recovery_requests,
-               /*reload_every=*/0, /*window=*/1);
+               /*reload_every=*/0);
   TPR_CHECK(recovery.ok() == recovery.requests);
   TPR_CHECK(recovery.ok_full > 0);  // the breaker re-closed
 

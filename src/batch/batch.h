@@ -22,7 +22,7 @@
 // Coalescing. When `coalesce` is on, requests for the same path in the
 // same time bucket share one group: the group is encoded ONCE at the
 // bucket-representative time (bucket * time_bucket_s — the exact
-// contract of the serve rung-1 cache, so the embedding is a pure
+// contract of the serve rung-2 cache, so the embedding is a pure
 // function of the group key) and the result fans out to every waiter.
 // With coalescing off, every request is its own group keyed by ticket
 // and encodes at its exact departure time.
@@ -56,7 +56,7 @@ struct BatchConfig {
   /// Coalesce duplicate (path, time-bucket) keys into one encode.
   bool coalesce = true;
   /// Time-bucket width for coalescing keys (mirror of the serving
-  /// config's rung-1 bucket).
+  /// config's rung-2 bucket).
   int64_t time_bucket_s = 900;
 };
 

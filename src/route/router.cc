@@ -1,8 +1,6 @@
 #include "route/router.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <utility>
 
 #include "fault/fault.h"
@@ -12,24 +10,6 @@
 namespace tpr::route {
 namespace {
 
-int EnvInt(const char* name, int fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || v <= 0) return fallback;
-  return static_cast<int>(v);
-}
-
-double EnvDouble(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(raw, &end);
-  if (end == raw || *end != '\0' || !std::isfinite(v)) return fallback;
-  return v;
-}
-
 /// Well-distributed pure hash of a city id (splitmix64 finaliser via
 /// MixSeed against a fixed salt).
 uint64_t CityHash(int city_id) {
@@ -38,18 +18,6 @@ uint64_t CityHash(int city_id) {
 }
 
 }  // namespace
-
-RouterConfig RouterConfigFromEnv(RouterConfig defaults) {
-  defaults.quarantine_after =
-      EnvInt("TPR_ROUTE_QUARANTINE_AFTER", defaults.quarantine_after);
-  defaults.backoff_initial = static_cast<uint64_t>(EnvInt(
-      "TPR_ROUTE_BACKOFF", static_cast<int>(defaults.backoff_initial)));
-  defaults.backoff_max = static_cast<uint64_t>(EnvInt(
-      "TPR_ROUTE_BACKOFF_MAX", static_cast<int>(defaults.backoff_max)));
-  defaults.default_deadline_ms =
-      EnvDouble("TPR_ROUTE_DEADLINE_MS", defaults.default_deadline_ms);
-  return defaults;
-}
 
 const char* ShardStateName(ShardState s) {
   switch (s) {

@@ -69,10 +69,6 @@ struct RouterConfig {
   double default_deadline_ms = 0;
 };
 
-/// Overlays TPR_ROUTE_QUARANTINE_AFTER / TPR_ROUTE_BACKOFF /
-/// TPR_ROUTE_BACKOFF_MAX / TPR_ROUTE_DEADLINE_MS onto `defaults`.
-RouterConfig RouterConfigFromEnv(RouterConfig defaults);
-
 /// One shard as the router sees it: a city, a name (also the shard's
 /// fault scope + metric prefix stem), and its service.
 struct ShardEndpoint {

@@ -233,24 +233,6 @@ Status InferenceService::BeginCanary(
   return Status::OK();
 }
 
-Status InferenceService::PromoteCanary(const std::string& reason) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (canary_ == nullptr) {
-    return Status::FailedPrecondition("no canary in flight");
-  }
-  ResolveCanaryLocked(CanaryVerdict::kPromoted, reason);
-  return Status::OK();
-}
-
-Status InferenceService::AbortCanary(const std::string& reason) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (canary_ == nullptr) {
-    return Status::FailedPrecondition("no canary in flight");
-  }
-  ResolveCanaryLocked(CanaryVerdict::kRolledBack, reason);
-  return Status::OK();
-}
-
 std::optional<CanaryResolution> InferenceService::TakeCanaryResolution() {
   std::lock_guard<std::mutex> lock(mu_);
   if (resolutions_.empty()) return std::nullopt;
@@ -388,11 +370,6 @@ bool InferenceService::PredictRung0Skip(const Request& req) const {
 }
 
 bool InferenceService::PredictRung0Failure(const Request& req) const {
-  if (PredictRung0Skip(req)) {
-    // The worker will degrade without attempting rung 0 — neither a
-    // success nor a failure signal for the breaker.
-    return false;
-  }
   for (int a = 0; a <= config_.max_retries; ++a) {
     if (!fault::WouldFail(fault::kEncoderForward,
                           MixSeed(req.fault_key, static_cast<uint64_t>(a)))) {
@@ -402,11 +379,9 @@ bool InferenceService::PredictRung0Failure(const Request& req) const {
   return true;
 }
 
-bool InferenceService::BreakerAdmit(GenState& gen, Request& req) {
+bool InferenceService::BreakerAdmit(GenState& gen, Request& req,
+                                    bool no_attempt, bool predicted_fail) {
   Breaker& b = gen.breaker;
-  req.breaker_predicted = true;
-  const bool no_attempt = PredictRung0Skip(req);
-  const bool predicted_fail = PredictRung0Failure(req);
   bool tripped = false;
   switch (b.state) {
     case Breaker::State::kClosed:
@@ -448,40 +423,6 @@ bool InferenceService::BreakerAdmit(GenState& gen, Request& req) {
   return tripped;
 }
 
-void InferenceService::BreakerRecord(GenState& gen, bool success,
-                                     bool was_probe) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Breaker& b = gen.breaker;
-  if (was_probe) b.probe_in_flight = false;
-  if (success) {
-    b.state = Breaker::State::kClosed;
-    b.consecutive_failures = 0;
-    // Observed-mode canary accounting: clean rung-0 completions promote.
-    // (Completion order is thread-dependent, so observed-mode canarying
-    // is outside the bitwise-determinism contract — see the header.)
-    if (&gen == canary_.get()) {
-      if (++gen.clean >=
-          static_cast<uint64_t>(config_.canary_promote_after)) {
-        ResolveCanaryLocked(CanaryVerdict::kPromoted, "clean-requests");
-      }
-    }
-    return;
-  }
-  const bool was_open = b.state == Breaker::State::kOpen;
-  if (b.state == Breaker::State::kHalfOpen ||
-      ++b.consecutive_failures >= config_.breaker_trip_threshold) {
-    if (b.state != Breaker::State::kOpen) {
-      metrics_.counter("serve.breaker_trips").Add(1);
-    }
-    b.state = Breaker::State::kOpen;
-    b.open_skips_remaining = config_.breaker_open_requests;
-  }
-  if (&gen == canary_.get() && !was_open &&
-      b.state == Breaker::State::kOpen) {
-    ResolveCanaryLocked(CanaryVerdict::kRolledBack, "breaker-trip");
-  }
-}
-
 void InferenceService::AdmitToGeneration(Request& req) {
   req.gen = live_;
   if (canary_ != nullptr && RoutesToCanary(req.query.id)) {
@@ -509,43 +450,22 @@ void InferenceService::AdmitToGeneration(Request& req) {
                 req.query.path, former_.EncodeTime(req.query.depart_time_s),
                 req.gen->generation)
           : req.query.id;
+  // The keyed predictions of this request's rung 0, shared by the
+  // breaker fold and the canary's clean count. With no plan installed
+  // every prediction is clean.
+  const bool no_attempt = PredictRung0Skip(req);
+  const bool predicted_fail = !no_attempt && PredictRung0Failure(req);
   GenState& gen = *req.gen;
-  if (fault::PlanActive()) {
-    const bool tripped = BreakerAdmit(gen, req);
-    if (req.canary) {
-      if (tripped) {
-        // The request stays pinned to the now-detached canary state and
-        // serves degraded; every later request routes to the incumbent.
-        ResolveCanaryLocked(CanaryVerdict::kRolledBack, "breaker-trip");
-      } else if (!req.skip_rung0 && !PredictRung0Skip(req) &&
-                 !PredictRung0Failure(req)) {
-        if (++gen.clean >=
-            static_cast<uint64_t>(config_.canary_promote_after)) {
-          ResolveCanaryLocked(CanaryVerdict::kPromoted, "clean-requests");
-        }
-      }
-    }
-    return;
-  }
-  // Observed mode (no fault plan): breaker outcomes are reported by the
-  // workers; admission only applies the current state. Half-open admits
-  // exactly one probe back into rung 0; others keep degrading until the
-  // probe reports.
-  Breaker& b = gen.breaker;
-  if (b.state == Breaker::State::kOpen) {
-    req.skip_rung0 = true;
-    metrics_.counter("serve.breaker_open_skips").Add(1);
-    if (--b.open_skips_remaining <= 0) {
-      b.state = Breaker::State::kHalfOpen;
-    }
-  } else if (b.state == Breaker::State::kHalfOpen) {
-    if (b.probe_in_flight) {
-      req.skip_rung0 = true;
-      metrics_.counter("serve.breaker_open_skips").Add(1);
-    } else {
-      b.probe_in_flight = true;
-      req.breaker_probe = true;
-    }
+  const bool tripped = BreakerAdmit(gen, req, no_attempt, predicted_fail);
+  if (!req.canary) return;
+  if (tripped) {
+    // The request stays pinned to the now-detached canary state and
+    // serves degraded; every later request routes to the incumbent.
+    ResolveCanaryLocked(CanaryVerdict::kRolledBack, "breaker-trip");
+  } else if (!req.skip_rung0 && !no_attempt && !predicted_fail &&
+             ++gen.clean >=
+                 static_cast<uint64_t>(config_.canary_promote_after)) {
+    ResolveCanaryLocked(CanaryVerdict::kPromoted, "clean-requests");
   }
 }
 
@@ -821,9 +741,6 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
               r->promise.set_value(DeadlineResult(*r, a + 1));
               continue;
             }
-            if (!r->breaker_predicted) {
-              BreakerRecord(*r->gen, true, r->breaker_probe);
-            }
             ServeResult res = r->BaseResult();
             res.status = Status::OK();
             res.rung = Rung::kFull;
@@ -854,20 +771,14 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
     }
   }
 
-  // Exhausted groups: every remaining member degrades, reporting the
-  // rung-0 failure to its generation's breaker in observed mode. The
-  // first step down is the GROUP-LEVEL quantized rung: one int8
-  // EncodeValueBatch per group at the group encode time, verdict keyed
-  // by the group's fault key — the whole group serves quantized or the
-  // whole group falls through together (retry/breaker/deadline
-  // semantics untouched, and never a breaker signal).
+  // Exhausted groups: every remaining member degrades. The first step
+  // down is the GROUP-LEVEL quantized rung: one int8 EncodeValueBatch
+  // per group at the group encode time, verdict keyed by the group's
+  // fault key — the whole group serves quantized or the whole group
+  // falls through together (retry/breaker/deadline semantics untouched,
+  // and never a breaker signal).
   const int exhausted_attempts = config_.max_retries + 1;
   for (size_t gi : live) {
-    for (Request* r : pending[gi]) {
-      if (!r->breaker_predicted) {
-        BreakerRecord(*r->gen, false, r->breaker_probe);
-      }
-    }
     GenState* gen = pending[gi].front()->gen.get();
     if (config_.quantized_rung && gen->quant != nullptr &&
         !fault::ShouldFail(fault::kQuantEncode, keys[gi])) {
@@ -902,12 +813,8 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
   }
 }
 
-ServeResult InferenceService::DeadlineResult(Request& req, int attempts) {
-  // A probe that times out reports failure so the breaker never waits
-  // on a probe that will not come back.
-  if (!req.breaker_predicted && req.breaker_probe) {
-    BreakerRecord(*req.gen, false, /*was_probe=*/true);
-  }
+ServeResult InferenceService::DeadlineResult(const Request& req,
+                                             int attempts) const {
   metrics_.counter("serve.deadline_exceeded").Add(1);
   ServeResult result = req.BaseResult();
   result.status = Status::DeadlineExceeded(

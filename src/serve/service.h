@@ -70,24 +70,26 @@
 // Canarying. While a canary is installed, a deterministic keyed
 // fraction of requests (hash of the request id — never wall clock or
 // thread identity) routes to it. The canary auto-resolves in admission
-// (ticket) order: `canary_promote_after` clean rung-0 requests promote
-// it to incumbent; a canary breaker trip or an injected
-// `canary-regression` fault rolls it back — incumbent traffic is never
-// disturbed either way. tpr::rollout drives this loop end to end
-// (validation gate, manifest lineage, quarantine).
+// (ticket) order, with or without a fault plan: the admission of its
+// `canary_promote_after`-th predicted-clean rung-0 request promotes it
+// to incumbent (later admissions go to the new incumbent); a canary
+// breaker trip or an injected `canary-regression` fault rolls it back —
+// incumbent traffic is never disturbed either way. tpr::rollout drives
+// this loop end to end (validation gate, manifest lineage, quarantine).
 //
 // Determinism contract (what the soak tests assert): with a fixed
-// TPR_FAULT spec, seed, and single submitter, the (status, rung,
-// generation, embedding bytes) outcome of every request — and every
-// canary promotion/rollback decision — is identical across runs and
-// worker counts. This falls out of four choices: fault verdicts are
+// TPR_FAULT spec (or none), seed, and single submitter, the (status,
+// rung, generation, embedding bytes) outcome of every request — and
+// every canary promotion/rollback decision — is identical across runs
+// and worker counts. This falls out of four choices: fault verdicts are
 // keyed by the request's fault key (never by wall clock, thread, or
 // batch membership), cache values are
 // pure functions of the cache key (so hit vs recompute is invisible),
 // the circuit breaker folds keyed failure *predictions* in admission
-// order rather than observed completions in race order, and canary
+// order — workers never report outcomes back to it — and canary
 // routing/resolution are likewise folded at admission. Deadlines are
-// wall-clock dependent and therefore outside the contract.
+// wall-clock dependent and therefore outside the contract; a request
+// that misses its deadline never feeds the breaker.
 
 #include <chrono>
 #include <condition_variable>
@@ -219,10 +221,10 @@ struct ServiceConfig {
 
 /// Point-in-time health snapshot, exported for routing tiers. Breaker
 /// state and consecutive_failures describe the incumbent generation and
-/// fold deterministically (admission order) under an active fault plan;
-/// queue_depth is an instantaneous load signal and is NOT part of the
-/// determinism contract — routers must not let it influence decisions
-/// they need reproduced bitwise.
+/// fold deterministically (admission order); queue_depth is an
+/// instantaneous load signal and is NOT part of the determinism
+/// contract — routers must not let it influence decisions they need
+/// reproduced bitwise.
 struct ServiceHealth {
   bool started = false;
   uint64_t generation = 0;       // incumbent model generation (0 = none)
@@ -298,11 +300,6 @@ class InferenceService {
                      std::shared_ptr<const quant::QuantizedEncoder> quant =
                          nullptr);
 
-  /// Force-resolves the in-flight canary (observed-mode controllers,
-  /// tests). FailedPrecondition when no canary is installed.
-  Status PromoteCanary(const std::string& reason = "manual");
-  Status AbortCanary(const std::string& reason = "manual");
-
   /// Oldest unconsumed canary resolution, or nullopt. The rollout
   /// controller polls this to record lineage.
   std::optional<CanaryResolution> TakeCanaryResolution();
@@ -358,7 +355,6 @@ class InferenceService {
     State state = State::kClosed;
     int consecutive_failures = 0;
     int open_skips_remaining = 0;
-    bool probe_in_flight = false;  // observed mode only
   };
 
   /// One serving generation: an immutable model plus the mutable
@@ -386,9 +382,7 @@ class InferenceService {
     bool canary = false;
     bool has_deadline = false;
     std::chrono::steady_clock::time_point deadline{};
-    bool skip_rung0 = false;       // breaker-open: straight to rung 1
-    bool breaker_predicted = false;  // outcome already folded at admission
-    bool breaker_probe = false;      // observed-mode half-open probe
+    bool skip_rung0 = false;  // breaker-open: straight to rung 1
     // Keys every fault verdict of the request (see the header comment):
     // the id, or the group hash when coalescing. Fixed at admission.
     uint64_t fault_key = 0;
@@ -422,8 +416,8 @@ class InferenceService {
   /// its group)? Neither counts as a breaker signal.
   bool PredictRung0Skip(const Request& req) const;
 
-  /// Pure prediction: will every rung-0 attempt of this request fail
-  /// under the active fault plan? (p-mode sites only; see fault.h.)
+  /// Pure prediction for a request that PredictRung0Skip lets through:
+  /// will every rung-0 attempt fail? (p-mode sites only; see fault.h.)
   bool PredictRung0Failure(const Request& req) const;
 
   /// Admission-time routing + fault key + breaker fold + canary
@@ -431,13 +425,14 @@ class InferenceService {
   /// holds mu_.
   void AdmitToGeneration(Request& req);
 
-  /// Predictive breaker fold (active fault plan). Caller holds mu_.
-  /// Returns true when this admission tripped the breaker open.
-  bool BreakerAdmit(GenState& gen, Request& req);
-
-  /// Observed-mode breaker update from a worker (no active fault plan).
-  /// Also folds observed canary outcomes when `gen` is the canary.
-  void BreakerRecord(GenState& gen, bool success, bool was_probe);
+  /// The breaker fold: applies this admission's predicted rung-0 outcome
+  /// (`no_attempt`, `predicted_fail`) to `gen`'s breaker in ticket order.
+  /// It reads only keyed p-mode verdicts (fault::WouldFail), so with no
+  /// plan every outcome is clean, and call-order nth/after rules never
+  /// reach it. Caller holds mu_. Returns true when this admission
+  /// tripped the breaker open.
+  bool BreakerAdmit(GenState& gen, Request& req, bool no_attempt,
+                    bool predicted_fail);
 
   /// Resolves the in-flight canary: promote swaps it into the incumbent
   /// slot, rollback drops it. Queues the resolution. Caller holds mu_.
@@ -453,10 +448,8 @@ class InferenceService {
   void ProcessBatch(batch::FormedBatch& batch,
                     std::vector<std::vector<Request>>& members);
 
-  /// DeadlineExceeded outcome for `req` after `attempts` rung-0 attempts
-  /// (reports a timed-out half-open probe as failure so the breaker
-  /// never waits on it).
-  ServeResult DeadlineResult(Request& req, int attempts);
+  /// DeadlineExceeded outcome for `req` after `attempts` rung-0 attempts.
+  ServeResult DeadlineResult(const Request& req, int attempts) const;
 
   /// Rungs 1-3 of the ladder (quantized -> cache -> fallback). `result`
   /// carries the identity fields and the rung-0 attempt count already
@@ -475,7 +468,7 @@ class InferenceService {
   /// metric scope.
   void ObserveRungLatency(Rung rung, double seconds) const;
 
-  /// Rung 2: mean-pooled node2vec endpoint embeddings, zero-padded or
+  /// Rung 3: mean-pooled node2vec endpoint embeddings, zero-padded or
   /// truncated to representation_dim. Pure; cannot fail.
   std::vector<float> FallbackEmbedding(const PathQuery& query) const;
 

@@ -635,7 +635,7 @@ TEST_F(ServeTest, BreakerTripsUnderOutageAndReclosesAfterRecovery) {
   EXPECT_EQ(probe.rung, Rung::kFallback);
   EXPECT_EQ(obs::GetCounter("serve.breaker_trips").value(), 2u);
 
-  // The outage ends (observed mode: no plan). The still-open breaker
+  // The outage ends (no plan installed). The still-open breaker
   // keeps skipping rung 0 for its window, then a successful probe
   // re-closes it and traffic returns to the full encoder.
   fault::ClearPlan();
@@ -650,6 +650,50 @@ TEST_F(ServeTest, BreakerTripsUnderOutageAndReclosesAfterRecovery) {
   ServeResult after = svc.SubmitAndWait(Query(0, ++id));
   ASSERT_TRUE(after.status.ok());
   EXPECT_EQ(after.rung, Rung::kFull);
+  EXPECT_EQ(obs::GetCounter("serve.breaker_open_skips").value(), 4u);
+}
+
+TEST_F(ServeTest, BreakerRecoveryIsFoldedAtAdmissionUnderPipelinedLoad) {
+  ServiceConfig cfg = TinyService();
+  cfg.num_workers = 4;
+  cfg.max_retries = 0;
+  cfg.breaker_trip_threshold = 3;
+  cfg.breaker_open_requests = 4;
+  InferenceService svc(features(), TinyEncoder(), cfg);
+  svc.InstallModel(
+      std::make_shared<TemporalPathEncoder>(features(), TinyEncoder()), 1);
+  ASSERT_TRUE(svc.Start().ok());
+
+  Install("encoder-forward:p=1");
+  uint64_t id = 0;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(svc.SubmitAndWait(Query(i, ++id)).rung, Rung::kFallback);
+  }
+  ASSERT_EQ(obs::GetCounter("serve.breaker_trips").value(), 1u);
+
+  // The outage ends with no plan installed, and all 32 requests are
+  // admitted before any result is read, so workers complete requests
+  // while later ones are still being admitted. The open window skips
+  // exactly the next 4 admissions; the 5th is the half-open probe and
+  // re-closes the breaker at its own admission, whatever the workers
+  // are doing.
+  fault::ClearPlan();
+  std::vector<std::future<ServeResult>> futures;
+  for (int i = 0; i < 32; ++i) {
+    auto submitted = svc.Submit(Query(i, ++id));
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    futures.push_back(std::move(submitted).value());
+  }
+  int skipped = 0;
+  int full = 0;
+  for (auto& f : futures) {
+    const ServeResult r = f.get();
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    skipped += r.attempts == 0 ? 1 : 0;
+    full += r.rung == Rung::kFull ? 1 : 0;
+  }
+  EXPECT_EQ(skipped, 4);
+  EXPECT_EQ(full, 28);
   EXPECT_EQ(obs::GetCounter("serve.breaker_open_skips").value(), 4u);
 }
 
@@ -877,6 +921,46 @@ TEST_F(ServeTest, CanaryPromotesAfterCleanTraffic) {
   ASSERT_TRUE(after.status.ok());
   EXPECT_EQ(after.generation, 2u);
   EXPECT_FALSE(after.canary);
+}
+
+TEST_F(ServeTest, CanaryPromotesAtItsNthCleanAdmissionUnderPipelinedLoad) {
+  ServiceConfig cfg = TinyService();
+  cfg.num_workers = 4;
+  cfg.canary_permille = 1000;
+  cfg.canary_promote_after = 8;
+  auto incumbent =
+      std::make_shared<TemporalPathEncoder>(features(), TinyEncoder());
+  auto candidate =
+      std::make_shared<TemporalPathEncoder>(features(), TinyEncoder());
+  PerturbParameters(*candidate, 0.05f, 13);
+  InferenceService svc(features(), TinyEncoder(), cfg);
+  svc.InstallModel(incumbent, 1);
+  ASSERT_TRUE(svc.Start().ok());
+  ASSERT_TRUE(svc.BeginCanary(candidate, 2).ok());
+
+  // No plan installed, and all 32 requests are admitted before any
+  // result is read. The 8th clean canary admission promotes, so the
+  // canary serves exactly 8 and the other 24 go to the new incumbent,
+  // however far the workers have got.
+  std::vector<std::future<ServeResult>> futures;
+  for (uint64_t id = 1; id <= 32; ++id) {
+    auto submitted = svc.Submit(Query(static_cast<int>(id), id));
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    futures.push_back(std::move(submitted).value());
+  }
+  int canary_served = 0;
+  for (auto& f : futures) {
+    const ServeResult r = f.get();
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.generation, 2u);
+    canary_served += r.canary ? 1 : 0;
+  }
+  EXPECT_EQ(canary_served, 8);
+  auto res = svc.TakeCanaryResolution();
+  ASSERT_TRUE(res.has_value());
+  EXPECT_EQ(res->verdict, CanaryVerdict::kPromoted);
+  EXPECT_EQ(res->routed, 8u);
+  EXPECT_EQ(res->clean, 8u);
 }
 
 TEST_F(ServeTest, CanaryRollsBackOnInjectedRegressionWithoutHurtingTraffic) {
