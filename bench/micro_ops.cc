@@ -26,9 +26,8 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Kernel-layer phases: scalar vs avx2 GFLOP/s on the raw GEMM entry
-// points at encoder-shaped operands, fused vs unfused recurrent cells,
-// and arena vs system allocation. Run with --benchmark_filter=Kern|Fused|
-// Arena to isolate them.
+// points at encoder-shaped operands, and arena vs system allocation.
+// Run with --benchmark_filter=Kern|Arena to isolate them.
 // ---------------------------------------------------------------------------
 
 // Shapes the WSC-TPR encoder actually runs: (path_len x d_hidden) times
@@ -154,37 +153,6 @@ void BM_QuantizeRow(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantizeRow)->Arg(64)->Arg(256)->Arg(1024);
 
-// Fused LstmCellOp against the composition it replaced: same math, one
-// graph node and no per-gate intermediates vs nine nodes.
-void LstmCellBench(benchmark::State& state, bool fused) {
-  const int m = 20, h = 64;
-  Rng rng(23);
-  nn::Var gates = nn::UniformParam(m, 4 * h, 0.1f, rng);
-  nn::Var c_prev = nn::UniformParam(m, h, 0.1f, rng);
-  for (auto _ : state) {
-    nn::Var out;
-    if (fused) {
-      out = nn::SliceCols(nn::LstmCellOp(gates, c_prev), 0, h);
-    } else {
-      nn::Var i = nn::Sigmoid(nn::SliceCols(gates, 0, h));
-      nn::Var f = nn::Sigmoid(nn::SliceCols(gates, h, h));
-      nn::Var g = nn::Tanh(nn::SliceCols(gates, 2 * h, h));
-      nn::Var o = nn::Sigmoid(nn::SliceCols(gates, 3 * h, h));
-      nn::Var c = nn::Add(nn::Mul(f, c_prev), nn::Mul(i, g));
-      out = nn::Mul(o, nn::Tanh(c));
-    }
-    nn::Var loss = nn::Sum(out);
-    loss.Backward();
-    benchmark::DoNotOptimize(loss.scalar());
-  }
-}
-void BM_LstmCellFused(benchmark::State& state) { LstmCellBench(state, true); }
-void BM_LstmCellUnfused(benchmark::State& state) {
-  LstmCellBench(state, false);
-}
-BENCHMARK(BM_LstmCellFused);
-BENCHMARK(BM_LstmCellUnfused);
-
 // Allocation cost at a graph-typical block size: warmed arena free-list
 // hit vs a fresh system malloc/free pair.
 void BM_ArenaAllocFree(benchmark::State& state) {
@@ -287,10 +255,12 @@ void BM_ConcatColsForward(benchmark::State& state) {
 }
 BENCHMARK(BM_ConcatColsForward)->Arg(16)->Arg(64)->Arg(256);
 
+// One path through the trainer's encoder LSTM (input 48, d_hidden 128,
+// 2 layers): forward, then backward through LstmSequence.
 void BM_LstmForwardBackward(benchmark::State& state) {
   const int steps = static_cast<int>(state.range(0));
   Rng rng(2);
-  nn::Lstm lstm(48, 32, 2, rng);
+  nn::Lstm lstm(48, 128, 2, rng);
   nn::Var x = nn::UniformParam(steps, 48, 0.1f, rng);
   for (auto _ : state) {
     nn::Var loss = nn::Sum(lstm.Forward(x));
@@ -298,7 +268,7 @@ void BM_LstmForwardBackward(benchmark::State& state) {
     benchmark::DoNotOptimize(loss.scalar());
   }
 }
-BENCHMARK(BM_LstmForwardBackward)->Arg(10)->Arg(20)->Arg(40);
+BENCHMARK(BM_LstmForwardBackward)->Arg(6)->Arg(12)->Arg(20);
 
 void BM_Node2VecWalks(benchmark::State& state) {
   synth::CityConfig cfg;

@@ -13,11 +13,11 @@
 // recurrent GEMM of step t runs over a prefix of step t-1's output.
 // Per layer: one input-side gate GEMM over every row, then per step one
 // recurrent GEMM over the active prefix and kern::LstmCellRow per row.
-// Only the two gate GEMMs differ by precision — fp32 keeps
-// nn::AffineSum's op order (bias, += x W_ih, += h W_hh, including the
-// step-0 GEMM on the zero state); int8 runs QuantizeRow -> GemmInt8Wide
-// -> DequantBias / DequantAcc. Aggregation keeps the element order of
-// nn::RowMean / RowMax / SliceRow.
+// Only the two gate GEMMs differ by precision — fp32 keeps the op
+// order of the tape's nn::LstmSequence (bias, += x W_ih, += h W_hh,
+// including the step-0 GEMM on the zero state); int8 runs
+// QuantizeRow -> GemmInt8Wide -> DequantBias / DequantAcc. Aggregation
+// keeps the element order of nn::RowMean / RowMax / SliceRow.
 //
 // Bitwise contract: GEMM rows are independent of the other rows of a
 // call and every other op is per row, so a row's bits never depend on

@@ -684,97 +684,99 @@ Var Affine(const Var& x, const Var& w, const Var& bias) {
   });
 }
 
-Var AffineSum(const Var& x1, const Var& w1, const Var& x2, const Var& w2,
-              const Var& bias) {
+Var LstmSequence(const Var& x, const Var& w_ih, const Var& w_hh,
+                 const Var& bias) {
   static obs::Counter& ops = obs::GetCounter("nn.matmul_ops");
   static obs::Counter& flops = obs::GetCounter("nn.matmul_flops");
-  ops.Add(2);
-  flops.Add(2ull * x1.rows() * x1.cols() * w1.cols() +
-            2ull * x2.rows() * x2.cols() * w2.cols());
-  TPR_CHECK(x1.cols() == w1.rows() && x2.cols() == w2.rows());
-  TPR_CHECK(x1.rows() == x2.rows() && w1.cols() == w2.cols());
-  Tensor out = Tensor::Uninitialized(x1.rows(), w1.cols());
-  BroadcastBiasRows(bias.value(), out);
-  kern::GemmAcc(x1.value().data(), w1.value().data(), out.data(), x1.rows(),
-                x1.cols(), w1.cols());
-  kern::GemmAcc(x2.value().data(), w2.value().data(), out.data(), x2.rows(),
-                x2.cols(), w2.cols());
-  return MakeOp(std::move(out), {x1, w1, x2, w2, bias},
-                [](internal::VarImpl* self) {
-                  for (int pair = 0; pair < 2; ++pair) {
-                    internal::VarImpl* x_impl = self->parents[2 * pair].get();
-                    internal::VarImpl* w_impl =
-                        self->parents[2 * pair + 1].get();
-                    if (x_impl->requires_grad) {
-                      x_impl->EnsureGrad();
-                      MatMulTransBAccumulate(self->grad, w_impl->value,
-                                             x_impl->grad);
-                    }
-                    if (w_impl->requires_grad) {
-                      w_impl->EnsureGrad();
-                      MatMulTransAAccumulate(x_impl->value, self->grad,
-                                             w_impl->grad);
-                    }
-                  }
-                  AccumulateBiasGrad(self->parents[4].get(), self->grad);
-                });
-}
-
-Var LstmCellOp(const Var& gates, const Var& c_prev) {
   static obs::Counter& cells = obs::GetCounter("nn.fused_cell_ops");
-  cells.Add();
-  const int m = gates.rows();
-  const int h = c_prev.cols();
-  TPR_CHECK(gates.cols() == 4 * h && c_prev.rows() == m);
-  Tensor out = Tensor::Uninitialized(m, 2 * h);
-  // Saved activations for backward: [i f g o tanh(c)] per row.
-  Tensor act = Tensor::Uninitialized(m, 5 * h);
-  const float* gv = gates.value().data();
-  const float* cpv = c_prev.value().data();
-  for (int r = 0; r < m; ++r) {
-    kern::LstmCellRow(gv + static_cast<size_t>(r) * 4 * h,
-                      cpv + static_cast<size_t>(r) * h,
-                      act.data() + static_cast<size_t>(r) * 5 * h,
-                      out.data() + static_cast<size_t>(r) * 2 * h, h);
+  const int steps = x.rows(), k = x.cols();
+  const int h = w_hh.rows(), n4 = 4 * h;
+  TPR_CHECK(steps > 0 && w_ih.rows() == k && w_ih.cols() == n4 &&
+            w_hh.cols() == n4);
+  // Counted per step, as the two gate GEMMs and the cell of one step.
+  ops.Add(2ull * steps);
+  flops.Add(2ull * steps * (k + h) * n4);
+  cells.Add(steps);
+  // Every gate row gets the bias, then x_t W_ih, then h_{t-1} W_hh (the
+  // zero state at t = 0): core::InferencePlan's fp32 op order, so every
+  // hidden row has the plan's bits.
+  Tensor gates = Tensor::Uninitialized(steps, n4);
+  BroadcastBiasRows(bias.value(), gates);
+  kern::GemmAcc(x.value().data(), w_ih.value().data(), gates.data(), steps, k,
+                n4);
+  Tensor out = Tensor::Uninitialized(steps, h);
+  // Saved for backward: [i f g o tanh(c_t)] per step, and [h_t | c_t] as
+  // row t + 1 of hc, whose row 0 is the zero state.
+  Tensor act = Tensor::Uninitialized(steps, 5 * h);
+  Tensor hc(steps + 1, 2 * h);
+  for (int t = 0; t < steps; ++t) {
+    const float* prev = hc.data() + static_cast<size_t>(t) * 2 * h;
+    float* next = hc.data() + static_cast<size_t>(t + 1) * 2 * h;
+    float* g = gates.data() + static_cast<size_t>(t) * n4;
+    kern::GemmAcc(prev, w_hh.value().data(), g, 1, h, n4);
+    kern::LstmCellRow(g, prev + h, act.data() + static_cast<size_t>(t) * 5 * h,
+                      next, h);
+    std::memcpy(out.data() + static_cast<size_t>(t) * h, next,
+                static_cast<size_t>(h) * sizeof(float));
   }
   return MakeOp(
-      std::move(out), {gates, c_prev},
-      [act = std::move(act), m, h](internal::VarImpl* self) {
-        internal::VarImpl* g_impl = self->parents[0].get();
-        internal::VarImpl* c_impl = self->parents[1].get();
-        const bool need_g = g_impl->requires_grad;
-        const bool need_c = c_impl->requires_grad;
-        if (need_g) g_impl->EnsureGrad();
-        if (need_c) c_impl->EnsureGrad();
-        const float* cpv = c_impl->value.data();
-        for (int r = 0; r < m; ++r) {
-          const float* go = self->grad.data() + static_cast<size_t>(r) * 2 * h;
-          const float* a = act.data() + static_cast<size_t>(r) * 5 * h;
-          const float* cp = cpv + static_cast<size_t>(r) * h;
-          float* dg = need_g
-                          ? g_impl->grad.data() + static_cast<size_t>(r) * 4 * h
-                          : nullptr;
-          float* dcp = need_c
-                           ? c_impl->grad.data() + static_cast<size_t>(r) * h
-                           : nullptr;
+      std::move(out), {x, w_ih, w_hh, bias},
+      [act = std::move(act), hc = std::move(hc)](internal::VarImpl* self) {
+        internal::VarImpl* x_impl = self->parents[0].get();
+        internal::VarImpl* wih_impl = self->parents[1].get();
+        internal::VarImpl* whh_impl = self->parents[2].get();
+        const int steps = self->value.rows(), h = self->value.cols();
+        const int k = x_impl->value.cols(), n4 = 4 * h;
+        // BPTT, last step first. dh = dY_t + dG_{t+1} W_hh^T and dc (the
+        // cell gradient carried back from step t + 1) are per-step rows;
+        // dG collects every step's gate-preactivation gradient.
+        Tensor dgates = Tensor::Uninitialized(steps, n4);
+        Tensor dh(1, h);
+        Tensor dc(1, h);
+        for (int t = steps - 1; t >= 0; --t) {
+          kern::AddAcc(self->grad.data() + static_cast<size_t>(t) * h,
+                       dh.data(), h);
+          const float* a = act.data() + static_cast<size_t>(t) * 5 * h;
+          const float* cp = hc.data() + static_cast<size_t>(t) * 2 * h + h;
+          float* dg = dgates.data() + static_cast<size_t>(t) * n4;
           for (int j = 0; j < h; ++j) {
             const float ig = a[j];
             const float fg = a[h + j];
             const float gg = a[2 * h + j];
             const float og = a[3 * h + j];
             const float tc = a[4 * h + j];
-            const float dh = go[j];
-            const float dc_in = go[h + j];
-            const float dc = dc_in + dh * og * (1.0f - tc * tc);
-            if (need_g) {
-              dg[j] += dc * gg * ig * (1.0f - ig);
-              dg[h + j] += dc * cp[j] * fg * (1.0f - fg);
-              dg[2 * h + j] += dc * ig * (1.0f - gg * gg);
-              dg[3 * h + j] += dh * tc * og * (1.0f - og);
-            }
-            if (need_c) dcp[j] += dc * fg;
+            const float dcj = dc[j] + dh[j] * og * (1.0f - tc * tc);
+            dg[j] = dcj * gg * ig * (1.0f - ig);
+            dg[h + j] = dcj * cp[j] * fg * (1.0f - fg);
+            dg[2 * h + j] = dcj * ig * (1.0f - gg * gg);
+            dg[3 * h + j] = dh[j] * tc * og * (1.0f - og);
+            dc[j] = dcj * fg;
+          }
+          if (t > 0) {
+            dh.Fill(0.0f);
+            kern::GemmTransBAcc(dg, whh_impl->value.data(), dh.data(), 1, n4,
+                                h);
           }
         }
+        // The sequence-wide gradients, each one GEMM over the T rows.
+        if (x_impl->requires_grad) {
+          x_impl->EnsureGrad();
+          kern::GemmTransBAcc(dgates.data(), wih_impl->value.data(),
+                              x_impl->grad.data(), steps, n4, k);
+        }
+        if (wih_impl->requires_grad) {
+          wih_impl->EnsureGrad();
+          kern::GemmTransAAcc(x_impl->value.data(), dgates.data(),
+                              wih_impl->grad.data(), steps, k, n4);
+        }
+        // h_{t-1} pairs with dG_t for t >= 1; at T = 1 W_hh still gets
+        // its (zero) gradient.
+        if (whh_impl->requires_grad) {
+          whh_impl->EnsureGrad();
+          kern::GemmTransAAcc(self->value.data(), dgates.data() + n4,
+                              whh_impl->grad.data(), steps - 1, h, n4);
+        }
+        AccumulateBiasGrad(self->parents[3].get(), dgates);
       });
 }
 

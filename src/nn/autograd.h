@@ -247,7 +247,8 @@ Var BceWithLogits(const Var& logit, float target);
 // ---------------------------------------------------------------------------
 // Fused ops. One graph node and one output tensor where the naive
 // composition would record several of each; the recurrent cells stop
-// materialising per-gate intermediates entirely.
+// materialising per-gate intermediates entirely, and an LSTM layer is
+// one node for the whole sequence.
 // ---------------------------------------------------------------------------
 
 /// Fused affine map: x (m x k) * w (k x n) + bias (1 x n, row-broadcast).
@@ -255,16 +256,18 @@ Var BceWithLogits(const Var& logit, float target);
 /// intermediate.
 Var Affine(const Var& x, const Var& w, const Var& bias);
 
-/// Fused gate preactivation x1*w1 + x2*w2 + bias (row-broadcast): the
-/// recurrent-cell input path, replacing two MatMuls, an Add, and an
-/// AddRow.
-Var AffineSum(const Var& x1, const Var& w1, const Var& x2, const Var& w2,
-              const Var& bias);
-
-/// Fused LSTM cell. gates: (m x 4h) preactivations in order [i f g o];
-/// c_prev: (m x h). Returns (m x 2h) = [h_t | c_t], where
-/// c_t = sigmoid(f)*c_prev + sigmoid(i)*tanh(g), h_t = sigmoid(o)*tanh(c_t).
-Var LstmCellOp(const Var& gates, const Var& c_prev);
+/// One LSTM layer over a whole sequence, from the zero state: x (T x k),
+/// w_ih (k x 4h), w_hh (h x 4h) and bias (1 x 4h), gate order [i f g o].
+/// Returns the (T x h) hidden states, where
+/// c_t = sigmoid(f)*c_{t-1} + sigmoid(i)*tanh(g), h_t = sigmoid(o)*tanh(c_t).
+/// Forward: the bias, one x*w_ih GEMM over all T rows, then per step one
+/// h_{t-1}*w_hh row GEMM (step 0 included) and kern::LstmCellRow, the
+/// fp32 op order of core::InferencePlan. Backward: BPTT over the saved
+/// activations with one recurrent row GEMM per step, then dx, dw_ih,
+/// dw_hh and dbias once over the whole sequence. The op counters count
+/// per step: two nn.matmul_ops and one nn.fused_cell_ops each.
+Var LstmSequence(const Var& x, const Var& w_ih, const Var& w_hh,
+                 const Var& bias);
 
 /// Fused GRU cell. gi, gh: (m x 3h) preactivations in order [r z n];
 /// h_prev: (m x h). Returns h_t = (1-z)*n + z*h_prev with

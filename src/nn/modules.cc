@@ -88,24 +88,7 @@ LstmLayer::LstmLayer(int input_size, int hidden_size, Rng& rng)
 
 Var LstmLayer::Forward(const Var& sequence) const {
   TPR_CHECK(sequence.cols() == input_size_);
-  const int steps = sequence.rows();
-  const int h = hidden_size_;
-  Var h_prev = Var::Leaf(Tensor(1, h));
-  Var c_prev = Var::Leaf(Tensor(1, h));
-  kern::ArenaVector<Var> outputs;
-  outputs.reserve(steps);
-  for (int t = 0; t < steps; ++t) {
-    Var row_t = SliceRow(sequence, t);
-    Var gates = AffineSum(row_t, w_ih_, h_prev, w_hh_, bias_);
-    // Fused cell: [h_t | c_t] in one node instead of ten.
-    Var hc = LstmCellOp(gates, c_prev);
-    Var h_t = SliceCols(hc, 0, h);
-    Var c_t = SliceCols(hc, h, h);
-    outputs.push_back(h_t);
-    h_prev = h_t;
-    c_prev = c_t;
-  }
-  return ConcatRows(outputs);
+  return LstmSequence(sequence, w_ih_, w_hh_, bias_);
 }
 
 std::vector<Var> LstmLayer::Parameters() const { return {w_ih_, w_hh_, bias_}; }

@@ -77,7 +77,7 @@ class Embedding : public Module {
   Var table_;  // num_embeddings x dim
 };
 
-/// Single LSTM layer processing a sequence step by step.
+/// Single LSTM layer: one nn::LstmSequence node per sequence.
 class LstmLayer : public Module {
  public:
   LstmLayer(int input_size, int hidden_size, Rng& rng);

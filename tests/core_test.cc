@@ -18,10 +18,13 @@
 namespace tpr::core {
 namespace {
 
-// Shared tiny fixture: one small city + features, built once.
+// Shared tiny fixture: one small city + features, built once. gtest
+// calls SetUpTestSuite once per derived suite, so later suites reuse
+// the first build.
 class CoreTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    if (data_ != nullptr) return;
     auto preset = synth::AalborgPreset();
     synth::ScaleDataset(preset, 0.1);
     auto ds = synth::BuildPresetDataset(preset);

@@ -13,6 +13,7 @@
 #include "nn/autograd.h"
 #include "nn/modules.h"
 #include "nn/tensor.h"
+#include "obs/metrics.h"
 #include "par/thread_pool.h"
 #include "util/rng.h"
 
@@ -314,47 +315,60 @@ TEST(FusedOpTest, AffineMatchesUnfusedComposition) {
   }
 }
 
-TEST(FusedOpTest, AffineSumMatchesUnfusedComposition) {
-  for (Kernel k : KernelsUnderTest()) {
-    ScopedKernel pin(k);
-    nn::Var x1 = RandomLeaf(4, 6, 4);
-    nn::Var w1 = RandomLeaf(6, 9, 5);
-    nn::Var x2 = RandomLeaf(4, 3, 6);
-    nn::Var w2 = RandomLeaf(3, 9, 7);
-    nn::Var b = RandomLeaf(1, 9, 8);
-    const nn::Tensor fused = nn::AffineSum(x1, w1, x2, w2, b).value();
-    const nn::Tensor unfused =
-        nn::AddRow(nn::Add(nn::MatMul(x1, w1), nn::MatMul(x2, w2)), b).value();
-    ASSERT_EQ(fused.size(), unfused.size());
-    for (size_t i = 0; i < fused.size(); ++i) {
-      EXPECT_NEAR(fused[i], unfused[i],
-                  1e-5f * std::max(1.0f, std::fabs(unfused[i])))
-          << KernelName(k) << " element " << i;
-    }
-  }
-}
-
-TEST(FusedOpTest, LstmCellMatchesUnfusedComposition) {
-  const int m = 3, h = 4;
-  for (Kernel k : KernelsUnderTest()) {
-    ScopedKernel pin(k);
-    nn::Var gates = RandomLeaf(m, 4 * h, 9);
-    nn::Var c_prev = RandomLeaf(m, h, 10);
-    const nn::Tensor fused = nn::LstmCellOp(gates, c_prev).value();
+// The LSTM written out step by step from the plain ops: one row GEMM
+// each for x_t W_ih and h_{t-1} W_hh, the bias, the four gates, and the
+// stacked hidden rows.
+nn::Var UnfusedLstm(const nn::Var& x, const nn::Var& w_ih,
+                    const nn::Var& w_hh, const nn::Var& b) {
+  const int h = w_hh.rows();
+  nn::Var h_prev = nn::Var::Leaf(nn::Tensor(1, h));
+  nn::Var c_prev = nn::Var::Leaf(nn::Tensor(1, h));
+  std::vector<nn::Var> outputs;
+  for (int t = 0; t < x.rows(); ++t) {
+    nn::Var gates = nn::AddRow(nn::Add(nn::MatMul(nn::SliceRow(x, t), w_ih),
+                                       nn::MatMul(h_prev, w_hh)),
+                               b);
     nn::Var i = nn::Sigmoid(nn::SliceCols(gates, 0, h));
     nn::Var f = nn::Sigmoid(nn::SliceCols(gates, h, h));
     nn::Var g = nn::Tanh(nn::SliceCols(gates, 2 * h, h));
     nn::Var o = nn::Sigmoid(nn::SliceCols(gates, 3 * h, h));
-    nn::Var c = nn::Add(nn::Mul(f, c_prev), nn::Mul(i, g));
-    nn::Var ht = nn::Mul(o, nn::Tanh(c));
-    ASSERT_EQ(fused.rows(), m);
-    ASSERT_EQ(fused.cols(), 2 * h);
-    for (int r = 0; r < m; ++r) {
-      for (int cidx = 0; cidx < h; ++cidx) {
-        EXPECT_NEAR(fused.at(r, cidx), ht.value().at(r, cidx), 1e-5f)
-            << KernelName(k) << " h at " << r << "," << cidx;
-        EXPECT_NEAR(fused.at(r, h + cidx), c.value().at(r, cidx), 1e-5f)
-            << KernelName(k) << " c at " << r << "," << cidx;
+    c_prev = nn::Add(nn::Mul(f, c_prev), nn::Mul(i, g));
+    h_prev = nn::Mul(o, nn::Tanh(c_prev));
+    outputs.push_back(h_prev);
+  }
+  return nn::ConcatRows(outputs);
+}
+
+// Values within 1e-5 of the composition, and the same per-step op
+// counts: nn.matmul_ops and nn.matmul_flops equal the composition's two
+// row GEMMs per step, and nn.fused_cell_ops counts one cell per step.
+TEST(FusedOpTest, LstmSequenceMatchesUnfusedComposition) {
+  const int k = 5, h = 4;
+  obs::ScopedMetricsEnabled metrics;
+  obs::Counter& ops = obs::GetCounter("nn.matmul_ops");
+  obs::Counter& flops = obs::GetCounter("nn.matmul_flops");
+  obs::Counter& cells = obs::GetCounter("nn.fused_cell_ops");
+  for (Kernel kr : KernelsUnderTest()) {
+    ScopedKernel pin(kr);
+    for (int steps : {1, 2, 7}) {
+      nn::Var x = RandomLeaf(steps, k, 9);
+      nn::Var w_ih = RandomLeaf(k, 4 * h, 10);
+      nn::Var w_hh = RandomLeaf(h, 4 * h, 11);
+      nn::Var b = RandomLeaf(1, 4 * h, 12);
+      const uint64_t ops0 = ops.value(), flops0 = flops.value();
+      const uint64_t cells0 = cells.value();
+      const nn::Tensor fused = nn::LstmSequence(x, w_ih, w_hh, b).value();
+      const uint64_t ops1 = ops.value(), flops1 = flops.value();
+      EXPECT_EQ(cells.value() - cells0, static_cast<uint64_t>(steps));
+      const nn::Tensor unfused = UnfusedLstm(x, w_ih, w_hh, b).value();
+      EXPECT_EQ(ops1 - ops0, ops.value() - ops1);
+      EXPECT_EQ(flops1 - flops0, flops.value() - flops1);
+      ASSERT_EQ(fused.rows(), steps);
+      ASSERT_EQ(fused.cols(), h);
+      ASSERT_TRUE(fused.SameShape(unfused));
+      for (size_t i = 0; i < fused.size(); ++i) {
+        EXPECT_NEAR(fused[i], unfused[i], 1e-5f)
+            << KernelName(kr) << " T=" << steps << " element " << i;
       }
     }
   }
@@ -396,34 +410,37 @@ TEST(FusedOpTest, AffineGradcheck) {
   }
 }
 
-TEST(FusedOpTest, AffineSumGradcheck) {
-  for (Kernel k : KernelsUnderTest()) {
-    ScopedKernel pin(k);
-    nn::Var x1 = RandomLeaf(2, 3, 17);
-    nn::Var w1 = RandomLeaf(3, 4, 18);
-    nn::Var x2 = RandomLeaf(2, 5, 19);
-    nn::Var w2 = RandomLeaf(5, 4, 20);
-    nn::Var b = RandomLeaf(1, 4, 21);
-    auto loss = [&] {
-      return nn::Sum(nn::Sigmoid(nn::AffineSum(x1, w1, x2, w2, b)));
-    };
-    CheckGradient(x1, loss);
-    CheckGradient(w1, loss);
-    CheckGradient(x2, loss);
-    CheckGradient(w2, loss);
-    CheckGradient(b, loss);
-  }
-}
-
-TEST(FusedOpTest, LstmCellGradcheck) {
-  const int m = 2, h = 3;
-  for (Kernel k : KernelsUnderTest()) {
-    ScopedKernel pin(k);
-    nn::Var gates = RandomLeaf(m, 4 * h, 22);
-    nn::Var c_prev = RandomLeaf(m, h, 23);
-    auto loss = [&] { return nn::Sum(nn::LstmCellOp(gates, c_prev)); };
-    CheckGradient(gates, loss);
-    CheckGradient(c_prev, loss);
+TEST(FusedOpTest, LstmSequenceGradcheck) {
+  const int k = 3, h = 3;
+  for (Kernel kr : KernelsUnderTest()) {
+    ScopedKernel pin(kr);
+    for (int steps : {1, 2, 5}) {
+      SCOPED_TRACE(::testing::Message() << KernelName(kr) << " T=" << steps);
+      nn::Var x = RandomLeaf(steps, k, 22);
+      nn::Var w_ih = RandomLeaf(k, 4 * h, 23);
+      nn::Var w_hh = RandomLeaf(h, 4 * h, 24);
+      nn::Var b = RandomLeaf(1, 4 * h, 25);
+      // A constant weight per output element, so dY differs across rows
+      // and columns.
+      const nn::Var dy = nn::Var::Leaf(nn::Tensor::FromValues(
+          steps, h, RandomVec(static_cast<size_t>(steps) * h, 26)));
+      auto loss = [&] {
+        return nn::Sum(nn::Mul(nn::LstmSequence(x, w_ih, w_hh, b), dy));
+      };
+      if (steps == 1) {
+        // W_hh only meets the zero state, yet it gets an all-zero
+        // gradient, so GradAccumulator and Adam see every parameter.
+        loss().Backward();
+        ASSERT_FALSE(w_hh.grad().empty());
+        for (size_t i = 0; i < w_hh.grad().size(); ++i) {
+          EXPECT_EQ(w_hh.grad()[i], 0.0f) << "element " << i;
+        }
+      }
+      CheckGradient(x, loss);
+      CheckGradient(w_ih, loss);
+      CheckGradient(w_hh, loss);
+      CheckGradient(b, loss);
+    }
   }
 }
 
