@@ -64,19 +64,11 @@ Status SupervisedBase::Train() {
   nn::Adam opt(params, config_.lr);
   nn::GradAccumulator accumulator(params);
 
-  // One model replica per worker thread, lazily built, values re-synced
-  // from the master parameters once per minibatch. Sharding a batch into
-  // per-shard Sum losses reduced with 1/items reproduces the old
-  // Mean-loss gradient exactly, in fixed shard order, so training is
+  // Every shard builds its own graph over the shared model. Sharding a
+  // batch into per-shard Sum losses reduced with 1/items reproduces the
+  // old Mean-loss gradient exactly, in fixed shard order, so training is
   // bitwise identical for any thread count.
-  struct Replica {
-    std::unique_ptr<SupervisedBase> model;
-    std::vector<nn::Var> params;
-    uint64_t synced_step = 0;
-  };
   par::ThreadPool& tp = par::DefaultPool();
-  std::vector<Replica> replicas(tp.num_threads());
-  uint64_t step = 0;
 
   std::vector<int> order = train_indices_;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
@@ -87,23 +79,9 @@ Status SupervisedBase::Train() {
       const int items = static_cast<int>(end - start);
       if (items == 0) continue;
       const int num_shards = std::min(4, items);
-      ++step;
       accumulator.BeginBatch(num_shards);
 
       tp.ParallelFor(num_shards, [&](int s) {
-        Replica& replica = replicas[par::WorkerIndex()];
-        if (replica.model == nullptr) {
-          replica.model = MakeReplica();
-          replica.params = replica.model->encoder_->Parameters();
-          auto rhp = replica.model->HeadParameters();
-          replica.params.insert(replica.params.end(), rhp.begin(), rhp.end());
-        }
-        replica.model->target_mean_ = target_mean_;
-        replica.model->target_std_ = target_std_;
-        if (replica.synced_step != step) {
-          nn::CopyParamValues(accumulator.params(), replica.params);
-          replica.synced_step = step;
-        }
         const size_t lo = start + static_cast<size_t>(items) * s / num_shards;
         const size_t hi =
             start + static_cast<size_t>(items) * (s + 1) / num_shards;
@@ -111,13 +89,11 @@ Status SupervisedBase::Train() {
         losses.reserve(hi - lo);
         for (size_t i = lo; i < hi; ++i) {
           const auto& sample = labeled[order[i]];
-          const auto encoded = replica.model->encoder_->Encode(
-              sample.path, sample.depart_time_s);
-          losses.push_back(replica.model->SampleLoss(encoded.tpr, sample));
+          const auto encoded =
+              encoder_->Encode(sample.path, sample.depart_time_s);
+          losses.push_back(SampleLoss(encoded.tpr, sample));
         }
-        nn::Var loss = nn::Sum(nn::ConcatCols(losses));
-        loss.Backward();
-        accumulator.CaptureShard(s, replica.params);
+        accumulator.Backward(s, nn::Sum(nn::ConcatCols(losses)));
       });
 
       opt.ZeroGrad();
@@ -155,8 +131,8 @@ PathRankModel::PathRankModel(
       head_rng);
 }
 
-nn::Var PathRankModel::SampleLoss(const nn::Var& tpr,
-                                  const synth::TemporalPathSample& sample) {
+nn::Var PathRankModel::SampleLoss(
+    const nn::Var& tpr, const synth::TemporalPathSample& sample) const {
   nn::Var pred = head_->Forward(tpr);
   return nn::MseLoss(pred,
                      nn::Tensor::RowVector({NormalizedTarget(sample)}));
@@ -168,11 +144,6 @@ double PathRankModel::HeadPredict(const nn::Var& tpr) const {
 
 std::vector<nn::Var> PathRankModel::HeadParameters() const {
   return head_->Parameters();
-}
-
-std::unique_ptr<SupervisedBase> PathRankModel::MakeReplica() const {
-  return std::make_unique<PathRankModel>(features_, std::vector<int>{},
-                                         config_);
 }
 
 // ---------------------------------------------------------------------------
@@ -192,8 +163,8 @@ HmtrlModel::HmtrlModel(std::shared_ptr<const core::FeatureSpace> features,
       head_rng);
 }
 
-nn::Var HmtrlModel::SampleLoss(const nn::Var& tpr,
-                               const synth::TemporalPathSample& sample) {
+nn::Var HmtrlModel::SampleLoss(
+    const nn::Var& tpr, const synth::TemporalPathSample& sample) const {
   // Multi-task: the primary task in normalised space plus the auxiliary
   // ranking/time signal (ranking scores are already O(1)).
   const bool time_primary = config_.primary == SupervisedTask::kTravelTime;
@@ -233,10 +204,6 @@ std::vector<nn::Var> HmtrlModel::HeadParameters() const {
   return p;
 }
 
-std::unique_ptr<SupervisedBase> HmtrlModel::MakeReplica() const {
-  return std::make_unique<HmtrlModel>(features_, std::vector<int>{}, config_);
-}
-
 // ---------------------------------------------------------------------------
 // DeepGTT
 // ---------------------------------------------------------------------------
@@ -254,8 +221,8 @@ DeepGttModel::DeepGttModel(std::shared_ptr<const core::FeatureSpace> features,
       head_rng);
 }
 
-nn::Var DeepGttModel::SampleLoss(const nn::Var& tpr,
-                                 const synth::TemporalPathSample& sample) {
+nn::Var DeepGttModel::SampleLoss(
+    const nn::Var& tpr, const synth::TemporalPathSample& sample) const {
   // Inverse-Gaussian negative log-likelihood of the scale-normalised
   // target x (positive by construction):
   //   -ll = -0.5 log(lambda) + lambda (x - mu)^2 / (2 mu^2 x) + const.
@@ -285,11 +252,6 @@ std::vector<nn::Var> DeepGttModel::HeadParameters() const {
   auto l = lambda_head_->Parameters();
   p.insert(p.end(), l.begin(), l.end());
   return p;
-}
-
-std::unique_ptr<SupervisedBase> DeepGttModel::MakeReplica() const {
-  return std::make_unique<DeepGttModel>(features_, std::vector<int>{},
-                                        config_);
 }
 
 std::vector<nn::Var> SupervisedBase::StateParams() const {

@@ -62,15 +62,9 @@ class SupervisedBase : public PathRepresentationModel {
 
  protected:
   /// Loss of one sample given its encoder TPR; subclasses define heads.
-  virtual nn::Var SampleLoss(const nn::Var& tpr,
-                             const synth::TemporalPathSample& sample) = 0;
-
-  /// Fresh instance of the same model (same features/config). Train()
-  /// keeps one replica per worker thread so minibatch shards can build
-  /// independent autograd graphs; replica parameter values are re-synced
-  /// from the master before each batch, so the construction seed is
-  /// irrelevant.
-  virtual std::unique_ptr<SupervisedBase> MakeReplica() const = 0;
+  /// Train() calls it concurrently from every minibatch shard.
+  virtual nn::Var SampleLoss(
+      const nn::Var& tpr, const synth::TemporalPathSample& sample) const = 0;
 
   /// Raw head prediction in normalised space.
   virtual double HeadPredict(const nn::Var& tpr) const = 0;
@@ -109,10 +103,9 @@ class PathRankModel : public SupervisedBase {
 
  protected:
   nn::Var SampleLoss(const nn::Var& tpr,
-                     const synth::TemporalPathSample& sample) override;
+                     const synth::TemporalPathSample& sample) const override;
   double HeadPredict(const nn::Var& tpr) const override;
   std::vector<nn::Var> HeadParameters() const override;
-  std::unique_ptr<SupervisedBase> MakeReplica() const override;
 
  private:
   std::unique_ptr<nn::Mlp> head_;
@@ -130,10 +123,9 @@ class HmtrlModel : public SupervisedBase {
 
  protected:
   nn::Var SampleLoss(const nn::Var& tpr,
-                     const synth::TemporalPathSample& sample) override;
+                     const synth::TemporalPathSample& sample) const override;
   double HeadPredict(const nn::Var& tpr) const override;
   std::vector<nn::Var> HeadParameters() const override;
-  std::unique_ptr<SupervisedBase> MakeReplica() const override;
 
  private:
   std::unique_ptr<nn::Mlp> time_head_;
@@ -152,11 +144,10 @@ class DeepGttModel : public SupervisedBase {
 
  protected:
   nn::Var SampleLoss(const nn::Var& tpr,
-                     const synth::TemporalPathSample& sample) override;
+                     const synth::TemporalPathSample& sample) const override;
   double HeadPredict(const nn::Var& tpr) const override;
   double Denormalize(double value) const override;
   std::vector<nn::Var> HeadParameters() const override;
-  std::unique_ptr<SupervisedBase> MakeReplica() const override;
 
  private:
   std::unique_ptr<nn::Mlp> mu_head_;

@@ -47,9 +47,6 @@ Status WscModel::LoadState(ckpt::Reader& r) {
   TPR_RETURN_IF_ERROR(ckpt::ReadRng(r, &rng_));
   TPR_RETURN_IF_ERROR(ckpt::ReadParamValuesInto(r, encoder_->Parameters()));
   TPR_RETURN_IF_ERROR(ckpt::ReadAdamStateInto(r, optimizer_.get()));
-  // Drop worker replicas: one could carry a synced_step equal to the
-  // restored step_ and would then silently keep its stale values.
-  replicas_.clear();
   return Status::OK();
 }
 
@@ -96,9 +93,6 @@ StatusOr<double> WscModel::TrainEpoch(const std::vector<int>& indices) {
   rng_.Shuffle(order);
 
   par::ThreadPool& tp = par::DefaultPool();
-  if (replicas_.size() < static_cast<size_t>(tp.num_threads())) {
-    replicas_.resize(tp.num_threads());
-  }
 
   double total_loss = 0.0;
   int batches = 0;
@@ -121,16 +115,6 @@ StatusOr<double> WscModel::TrainEpoch(const std::vector<int>& indices) {
 
     tp.ParallelFor(num_shards, [&](int s) {
       obs::ScopedSpan shard_span("wsc.shard", "shard", s);
-      Replica& replica = replicas_[par::WorkerIndex()];
-      if (replica.encoder == nullptr) {
-        replica.encoder =
-            std::make_unique<TemporalPathEncoder>(features_, config_.encoder);
-        replica.params = replica.encoder->Parameters();
-      }
-      if (replica.synced_step != step_) {
-        nn::CopyParamValues(accumulator_->params(), replica.params);
-        replica.synced_step = step_;
-      }
       // Independent deterministic RNG stream per (batch, shard).
       Rng shard_rng(MixSeed(MixSeed(config_.seed, step_),
                             static_cast<uint64_t>(s)));
@@ -158,10 +142,9 @@ StatusOr<double> WscModel::TrainEpoch(const std::vector<int>& indices) {
         batch.push_back(positive);
       }
 
-      // Forward pass on this worker's replica graph.
+      // Forward pass: this shard's own graph over the shared encoder.
       for (auto& item : batch) {
-        item.encoded =
-            replica.encoder->Encode(*item.path, item.depart_time_s);
+        item.encoded = encoder_->Encode(*item.path, item.depart_time_s);
       }
 
       // Joint objective (Eq. 12), as a minimisation.
@@ -178,8 +161,7 @@ StatusOr<double> WscModel::TrainEpoch(const std::vector<int>& indices) {
       nn::Var loss =
           parts.size() == 1 ? parts[0] : nn::Sum(nn::ConcatCols(parts));
 
-      loss.Backward();
-      accumulator_->CaptureShard(s, replica.params);
+      accumulator_->Backward(s, loss);
       shard_losses[s] = loss.scalar();
     });
 

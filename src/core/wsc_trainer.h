@@ -98,27 +98,15 @@ class WscModel {
 
   /// Restores state written by SaveState into this model. The model
   /// must have been built with an architecture-identical config
-  /// (parameter count and shapes are verified). Worker replicas are
-  /// invalidated so the next minibatch re-syncs from the restored
-  /// parameters.
+  /// (parameter count and shapes are verified).
   Status LoadState(ckpt::Reader& r);
 
  private:
-  /// Per-worker encoder replica used to build an independent autograd
-  /// graph per thread. Values are lazily re-synced from the master
-  /// parameters once per minibatch (they change at every Adam step).
-  struct Replica {
-    std::unique_ptr<TemporalPathEncoder> encoder;
-    std::vector<nn::Var> params;
-    uint64_t synced_step = 0;  // 0 = never synced
-  };
-
   std::shared_ptr<const FeatureSpace> features_;
   WscConfig config_;
   std::unique_ptr<TemporalPathEncoder> encoder_;
   std::unique_ptr<nn::Adam> optimizer_;
   std::unique_ptr<nn::GradAccumulator> accumulator_;
-  std::vector<Replica> replicas_;
   uint64_t step_ = 0;  // minibatch counter, seeds per-shard RNG streams
   int consecutive_bad_ = 0;  // watchdog streak; transient, not checkpointed
   Rng rng_;

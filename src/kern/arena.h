@@ -12,7 +12,7 @@
 // different thread than they were allocated on; ownership simply
 // transfers to the freeing thread's lists, which keeps every list
 // single-threaded and lock-free. Each tpr::par worker therefore owns an
-// independent arena for its replica graphs.
+// independent arena for the graphs of the shards it trains.
 //
 // Lifetime: arenas die with their thread (releasing every cached block).
 // Frees that happen after the owning thread's arena is destroyed — e.g.

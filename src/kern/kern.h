@@ -98,10 +98,11 @@ void AddAcc(const float* x, float* y, int n);
 // Int8 inference kernels (tpr::quant). Integer accumulation is exact, so
 // — unlike the fp32 GEMMs above — the scalar and avx2 GemmInt8Wide
 // produce bitwise-identical int32 results; the avx2 form only reorders
-// an associative integer sum. The dequant epilogues are scalar-only
-// (plain mul + add, no FMA) so the quantized forward is identical under
-// either kernel up to the fused cell, which dispatches like the fp32
-// path.
+// an associative integer sum. The dequant and quantize epilogues
+// dispatch to avx2 for n >= 8, and their lanes apply the scalar op
+// sequence exactly (plain mul + add, no FMA, round-to-nearest-even), so
+// the quantized forward is identical under either kernel up to the fused
+// cell, which dispatches like the fp32 path.
 // ---------------------------------------------------------------------------
 
 /// out(m x n) = a(m x k, int8) * btw(n x k)^T, int32 accumulation
@@ -118,7 +119,8 @@ void GemmInt8Wide(const int8_t* a, const int16_t* btw, int32_t* out, int m,
 
 /// y[i, j] = float(acc[i, j]) * (a_scale * b_scales[j]) + bias[j].
 /// The per-channel dequant epilogue fused with the bias add. `bias` may
-/// be null (treated as zero). Scalar on both kernels.
+/// be null (treated as zero). The avx2 leg (n >= 8) is bitwise equal to
+/// the scalar one.
 void DequantBias(const int32_t* acc, float a_scale, const float* b_scales,
                  const float* bias, float* y, int m, int n);
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "kern/kern.h"
 #include "obs/metrics.h"
@@ -33,6 +34,35 @@ std::shared_ptr<VarImpl> NewVarImpl() {
 
 Var WrapVar(std::shared_ptr<VarImpl> impl) { return Var(std::move(impl)); }
 
+namespace {
+
+// The leaf-gradient redirect of the innermost Var::BackwardInto running
+// on this thread, if any.
+struct GradRoute {
+  const std::vector<Var>* params;
+  std::vector<Tensor>* grads;
+};
+thread_local const GradRoute* t_grad_route = nullptr;
+
+}  // namespace
+
+Tensor& VarImpl::EnsureGrad() {
+  Tensor* g = &grad;
+  // Only leaves are redirected: an interior node belongs to the one
+  // graph, and so the one thread, that built it.
+  if (t_grad_route != nullptr && !backward_fn) {
+    const std::vector<Var>& params = *t_grad_route->params;
+    for (size_t p = 0; p < params.size(); ++p) {
+      if (params[p].impl() == this) {
+        g = &(*t_grad_route->grads)[p];
+        break;
+      }
+    }
+  }
+  if (g->empty() && !value.empty()) *g = Tensor(value.rows(), value.cols());
+  return *g;
+}
+
 }  // namespace internal
 
 Var Var::Leaf(Tensor value, bool requires_grad) {
@@ -46,10 +76,11 @@ namespace {
 
 // Monotone traversal stamp shared by all Backward() calls. Each call
 // claims a fresh epoch and marks reached nodes with it, which replaces a
-// per-call unordered_set with one integer compare per edge. Concurrent
-// Backward() calls on *disjoint* graphs are fine (distinct epochs, each
-// node written by one thread); graphs are never shared across threads in
-// this codebase.
+// per-call unordered_set with one integer compare per edge. Only interior
+// nodes are reached and marked, and each belongs to the thread that built
+// it. Leaves have no closure to run, so the traversal never pushes them
+// and never writes a parameter leaf that other threads' graphs share;
+// the closures' writes to leaf gradients are what BackwardInto redirects.
 std::atomic<uint64_t> g_backward_epoch{0};
 
 }  // namespace
@@ -68,14 +99,14 @@ void Var::Backward() const {
   thread_local std::vector<std::pair<internal::VarImpl*, size_t>> stack;
   order.clear();
   stack.clear();
+  // The root needs no mark: in a DAG none of its ancestors reaches it.
   stack.emplace_back(impl_.get(), 0);
-  impl_->visit_epoch = epoch;
   while (!stack.empty()) {
     auto& [node, idx] = stack.back();
     if (idx < node->parents.size()) {
       internal::VarImpl* parent = node->parents[idx].get();
       ++idx;
-      if (parent->requires_grad && parent->visit_epoch != epoch) {
+      if (parent->backward_fn && parent->visit_epoch != epoch) {
         parent->visit_epoch = epoch;
         stack.emplace_back(parent, 0);
       }
@@ -85,12 +116,24 @@ void Var::Backward() const {
     }
   }
 
-  impl_->EnsureGrad();
-  impl_->grad.at(0, 0) = 1.0f;
+  impl_->EnsureGrad().at(0, 0) = 1.0f;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     internal::VarImpl* node = *it;
     if (node->backward_fn && !node->grad.empty()) node->backward_fn(node);
   }
+}
+
+void Var::BackwardInto(const std::vector<Var>& params,
+                       std::vector<Tensor>& grads) const {
+  TPR_CHECK(grads.size() == params.size());
+  const internal::GradRoute route{&params, &grads};
+  // The enclosing route comes back on every exit, also when Backward()
+  // throws.
+  struct Restore {
+    const internal::GradRoute* outer;
+    ~Restore() { internal::t_grad_route = outer; }
+  } restore{std::exchange(internal::t_grad_route, &route)};
+  Backward();
 }
 
 namespace {
@@ -99,10 +142,9 @@ namespace {
 // differentiation.
 void AccumulateGrad(internal::VarImpl* p, const Tensor& delta) {
   if (!p->requires_grad) return;
-  p->EnsureGrad();
-  TPR_CHECK(p->grad.SameShape(delta));
-  kern::AddAcc(delta.data(), p->grad.data(),
-               static_cast<int>(delta.size()));
+  Tensor& g = p->EnsureGrad();
+  TPR_CHECK(g.SameShape(delta));
+  kern::AddAcc(delta.data(), g.data(), static_cast<int>(delta.size()));
 }
 
 // Elementwise unary op helper: forward maps x->f(x); backward multiplies
@@ -117,10 +159,9 @@ Var UnaryOp(const Var& a, Fwd fwd, Bwd dfd) {
   return MakeOp(std::move(out), {a}, [dfd](internal::VarImpl* self) {
     internal::VarImpl* p = self->parents[0].get();
     if (!p->requires_grad) return;
-    p->EnsureGrad();
     const Tensor& in = p->value;
     const Tensor& out = self->value;
-    float* g = p->grad.data();
+    float* g = p->EnsureGrad().data();
     const float* go = self->grad.data();
     for (size_t i = 0; i < in.size(); ++i) {
       g[i] += go[i] * dfd(in[i], out[i]);
@@ -143,9 +184,8 @@ void BroadcastBiasRows(const Tensor& bias, Tensor& out) {
 // dBias += column sums of dOut.
 void AccumulateBiasGrad(internal::VarImpl* bias, const Tensor& gout) {
   if (!bias->requires_grad) return;
-  bias->EnsureGrad();
   const int m = gout.rows(), n = gout.cols();
-  float* bg = bias->grad.data();
+  float* bg = bias->EnsureGrad().data();
   for (int i = 0; i < m; ++i) {
     kern::AddAcc(gout.data() + static_cast<size_t>(i) * n, bg, n);
   }
@@ -165,12 +205,10 @@ Var MatMul(const Var& a, const Var& b) {
     internal::VarImpl* b_impl = self->parents[1].get();
     // dA = dOut * B^T ; dB = A^T * dOut
     if (a_impl->requires_grad) {
-      a_impl->EnsureGrad();
-      MatMulTransBAccumulate(self->grad, b_impl->value, a_impl->grad);
+      MatMulTransBAccumulate(self->grad, b_impl->value, a_impl->EnsureGrad());
     }
     if (b_impl->requires_grad) {
-      b_impl->EnsureGrad();
-      MatMulTransAAccumulate(a_impl->value, self->grad, b_impl->grad);
+      MatMulTransAAccumulate(a_impl->value, self->grad, b_impl->EnsureGrad());
     }
   });
 }
@@ -209,8 +247,7 @@ Var Sub(const Var& a, const Var& b) {
     AccumulateGrad(self->parents[0].get(), self->grad);
     internal::VarImpl* b_impl = self->parents[1].get();
     if (b_impl->requires_grad) {
-      b_impl->EnsureGrad();
-      kern::AxpyAcc(-1.0f, self->grad.data(), b_impl->grad.data(),
+      kern::AxpyAcc(-1.0f, self->grad.data(), b_impl->EnsureGrad().data(),
                     static_cast<int>(self->grad.size()));
     }
   });
@@ -226,14 +263,12 @@ Var Mul(const Var& a, const Var& b) {
     internal::VarImpl* b_impl = self->parents[1].get();
     const int n = static_cast<int>(self->grad.size());
     if (a_impl->requires_grad) {
-      a_impl->EnsureGrad();
       kern::HadamardAcc(self->grad.data(), b_impl->value.data(),
-                        a_impl->grad.data(), n);
+                        a_impl->EnsureGrad().data(), n);
     }
     if (b_impl->requires_grad) {
-      b_impl->EnsureGrad();
       kern::HadamardAcc(self->grad.data(), a_impl->value.data(),
-                        b_impl->grad.data(), n);
+                        b_impl->EnsureGrad().data(), n);
     }
   });
 }
@@ -250,13 +285,11 @@ Var Div(const Var& a, const Var& b) {
     const float* av = a_impl->value.data();
     const float* bv = b_impl->value.data();
     if (a_impl->requires_grad) {
-      a_impl->EnsureGrad();
-      float* g = a_impl->grad.data();
+      float* g = a_impl->EnsureGrad().data();
       for (size_t i = 0; i < self->grad.size(); ++i) g[i] += go[i] / bv[i];
     }
     if (b_impl->requires_grad) {
-      b_impl->EnsureGrad();
-      float* g = b_impl->grad.data();
+      float* g = b_impl->EnsureGrad().data();
       for (size_t i = 0; i < self->grad.size(); ++i)
         g[i] -= go[i] * av[i] / (bv[i] * bv[i]);
     }
@@ -327,10 +360,9 @@ Var Sum(const Var& a) {
   return MakeOp(std::move(out), {a}, [](internal::VarImpl* self) {
     internal::VarImpl* a_impl = self->parents[0].get();
     if (!a_impl->requires_grad) return;
-    a_impl->EnsureGrad();
     const float g = self->grad.at(0, 0);
-    float* pg = a_impl->grad.data();
-    for (size_t i = 0; i < a_impl->grad.size(); ++i) pg[i] += g;
+    float* pg = a_impl->EnsureGrad().data();
+    for (size_t i = 0; i < a_impl->value.size(); ++i) pg[i] += g;
   });
 }
 
@@ -352,10 +384,10 @@ Var RowMean(const Var& a) {
   return MakeOp(std::move(out), {a}, [m, n, inv](internal::VarImpl* self) {
     internal::VarImpl* a_impl = self->parents[0].get();
     if (!a_impl->requires_grad) return;
-    a_impl->EnsureGrad();
     const float* go = self->grad.data();
+    float* ga = a_impl->EnsureGrad().data();
     for (int i = 0; i < m; ++i) {
-      float* g = a_impl->grad.data() + static_cast<size_t>(i) * n;
+      float* g = ga + static_cast<size_t>(i) * n;
       for (int j = 0; j < n; ++j) g[j] += go[j] * inv;
     }
   });
@@ -380,11 +412,9 @@ Var RowMax(const Var& a) {
                 [argmax = std::move(argmax), n](internal::VarImpl* self) {
                   internal::VarImpl* a_impl = self->parents[0].get();
                   if (!a_impl->requires_grad) return;
-                  a_impl->EnsureGrad();
+                  Tensor& ga = a_impl->EnsureGrad();
                   const float* go = self->grad.data();
-                  for (int j = 0; j < n; ++j) {
-                    a_impl->grad.at(argmax[j], j) += go[j];
-                  }
+                  for (int j = 0; j < n; ++j) ga.at(argmax[j], j) += go[j];
                 });
 }
 
@@ -417,13 +447,12 @@ Var ConcatColsImpl(const PartsVec& parts) {
                        for (const auto& p : self->parents) {
                          const int n = p->value.cols();
                          if (p->requires_grad) {
-                           p->EnsureGrad();
+                           float* pg = p->EnsureGrad().data();
                            for (int i = 0; i < m; ++i) {
                              const float* src = self->grad.data() +
                                                 static_cast<size_t>(i) * total +
                                                 offset;
-                             float* dst =
-                                 p->grad.data() + static_cast<size_t>(i) * n;
+                             float* dst = pg + static_cast<size_t>(i) * n;
                              kern::AddAcc(src, dst, n);
                            }
                          }
@@ -456,8 +485,7 @@ Var ConcatRowsImpl(const PartsVec& parts) {
     for (const auto& p : self->parents) {
       const size_t sz = static_cast<size_t>(p->value.rows()) * n;
       if (p->requires_grad) {
-        p->EnsureGrad();
-        kern::AddAcc(self->grad.data() + offset, p->grad.data(),
+        kern::AddAcc(self->grad.data() + offset, p->EnsureGrad().data(),
                      static_cast<int>(sz));
       }
       offset += sz;
@@ -495,12 +523,11 @@ Var SliceCols(const Var& a, int start, int len) {
                 [start, len, m, n](internal::VarImpl* self) {
                   internal::VarImpl* a_impl = self->parents[0].get();
                   if (!a_impl->requires_grad) return;
-                  a_impl->EnsureGrad();
+                  float* ga = a_impl->EnsureGrad().data();
                   for (int i = 0; i < m; ++i) {
                     const float* src =
                         self->grad.data() + static_cast<size_t>(i) * len;
-                    float* dst = a_impl->grad.data() +
-                                 static_cast<size_t>(i) * n + start;
+                    float* dst = ga + static_cast<size_t>(i) * n + start;
                     kern::AddAcc(src, dst, len);
                   }
                 });
@@ -515,9 +542,8 @@ Var SliceRow(const Var& a, int r) {
   return MakeOp(std::move(out), {a}, [r, n](internal::VarImpl* self) {
     internal::VarImpl* a_impl = self->parents[0].get();
     if (!a_impl->requires_grad) return;
-    a_impl->EnsureGrad();
     kern::AddAcc(self->grad.data(),
-                 a_impl->grad.data() + static_cast<size_t>(r) * n, n);
+                 a_impl->EnsureGrad().data() + static_cast<size_t>(r) * n, n);
   });
 }
 
@@ -535,11 +561,10 @@ Var Gather(const Var& table, const std::vector<int>& indices) {
                 [idx = std::move(idx), n](internal::VarImpl* self) {
                   internal::VarImpl* t_impl = self->parents[0].get();
                   if (!t_impl->requires_grad) return;
-                  t_impl->EnsureGrad();
+                  float* gt = t_impl->EnsureGrad().data();
                   for (size_t i = 0; i < idx.size(); ++i) {
                     const float* src = self->grad.data() + i * n;
-                    float* dst = t_impl->grad.data() +
-                                 static_cast<size_t>(idx[i]) * n;
+                    float* dst = gt + static_cast<size_t>(idx[i]) * n;
                     kern::AddAcc(src, dst, n);
                   }
                 });
@@ -569,16 +594,14 @@ Var CosineSim(const Var& a, const Var& b) {
                   const float* av = a_impl->value.data();
                   const float* bv = b_impl->value.data();
                   if (a_impl->requires_grad) {
-                    a_impl->EnsureGrad();
-                    float* ga = a_impl->grad.data();
+                    float* ga = a_impl->EnsureGrad().data();
                     for (int i = 0; i < n; ++i) {
                       ga[i] +=
                           g * (bv[i] / (na * nb) - cos * av[i] / (na * na));
                     }
                   }
                   if (b_impl->requires_grad) {
-                    b_impl->EnsureGrad();
-                    float* gb = b_impl->grad.data();
+                    float* gb = b_impl->EnsureGrad().data();
                     for (int i = 0; i < n; ++i) {
                       gb[i] +=
                           g * (av[i] / (na * nb) - cos * bv[i] / (nb * nb));
@@ -602,10 +625,9 @@ Var LogSumExp(const Var& a) {
   return MakeOp(std::move(out), {a}, [lse](internal::VarImpl* self) {
     internal::VarImpl* a_impl = self->parents[0].get();
     if (!a_impl->requires_grad) return;
-    a_impl->EnsureGrad();
     const float g = self->grad.at(0, 0);
     const float* v = a_impl->value.data();
-    float* pg = a_impl->grad.data();
+    float* pg = a_impl->EnsureGrad().data();
     for (size_t i = 0; i < a_impl->value.size(); ++i) {
       pg[i] += g * std::exp(v[i] - lse);
     }
@@ -630,11 +652,11 @@ Var SoftmaxRows(const Var& a) {
   return MakeOp(std::move(out), {a}, [m, n](internal::VarImpl* self) {
     internal::VarImpl* a_impl = self->parents[0].get();
     if (!a_impl->requires_grad) return;
-    a_impl->EnsureGrad();
+    float* ga = a_impl->EnsureGrad().data();
     for (int i = 0; i < m; ++i) {
       const float* y = self->value.data() + static_cast<size_t>(i) * n;
       const float* go = self->grad.data() + static_cast<size_t>(i) * n;
-      float* g = a_impl->grad.data() + static_cast<size_t>(i) * n;
+      float* g = ga + static_cast<size_t>(i) * n;
       float dotv = 0;
       for (int j = 0; j < n; ++j) dotv += go[j] * y[j];
       for (int j = 0; j < n; ++j) g[j] += y[j] * (go[j] - dotv);
@@ -673,12 +695,10 @@ Var Affine(const Var& x, const Var& w, const Var& bias) {
     internal::VarImpl* x_impl = self->parents[0].get();
     internal::VarImpl* w_impl = self->parents[1].get();
     if (x_impl->requires_grad) {
-      x_impl->EnsureGrad();
-      MatMulTransBAccumulate(self->grad, w_impl->value, x_impl->grad);
+      MatMulTransBAccumulate(self->grad, w_impl->value, x_impl->EnsureGrad());
     }
     if (w_impl->requires_grad) {
-      w_impl->EnsureGrad();
-      MatMulTransAAccumulate(x_impl->value, self->grad, w_impl->grad);
+      MatMulTransAAccumulate(x_impl->value, self->grad, w_impl->EnsureGrad());
     }
     AccumulateBiasGrad(self->parents[2].get(), self->grad);
   });
@@ -760,21 +780,18 @@ Var LstmSequence(const Var& x, const Var& w_ih, const Var& w_hh,
         }
         // The sequence-wide gradients, each one GEMM over the T rows.
         if (x_impl->requires_grad) {
-          x_impl->EnsureGrad();
           kern::GemmTransBAcc(dgates.data(), wih_impl->value.data(),
-                              x_impl->grad.data(), steps, n4, k);
+                              x_impl->EnsureGrad().data(), steps, n4, k);
         }
         if (wih_impl->requires_grad) {
-          wih_impl->EnsureGrad();
           kern::GemmTransAAcc(x_impl->value.data(), dgates.data(),
-                              wih_impl->grad.data(), steps, k, n4);
+                              wih_impl->EnsureGrad().data(), steps, k, n4);
         }
         // h_{t-1} pairs with dG_t for t >= 1; at T = 1 W_hh still gets
         // its (zero) gradient.
         if (whh_impl->requires_grad) {
-          whh_impl->EnsureGrad();
           kern::GemmTransAAcc(self->value.data(), dgates.data() + n4,
-                              whh_impl->grad.data(), steps - 1, h, n4);
+                              whh_impl->EnsureGrad().data(), steps - 1, h, n4);
         }
         AccumulateBiasGrad(self->parents[3].get(), dgates);
       });
@@ -809,9 +826,9 @@ Var GruCellOp(const Var& gi, const Var& gh, const Var& h_prev) {
         const bool need_gi = gi_impl->requires_grad;
         const bool need_gh = gh_impl->requires_grad;
         const bool need_hp = hp_impl->requires_grad;
-        if (need_gi) gi_impl->EnsureGrad();
-        if (need_gh) gh_impl->EnsureGrad();
-        if (need_hp) hp_impl->EnsureGrad();
+        float* gi_grad = need_gi ? gi_impl->EnsureGrad().data() : nullptr;
+        float* gh_grad = need_gh ? gh_impl->EnsureGrad().data() : nullptr;
+        float* hp_grad = need_hp ? hp_impl->EnsureGrad().data() : nullptr;
         const float* ghv = gh_impl->value.data();
         const float* hpv = hp_impl->value.data();
         for (int r = 0; r < m; ++r) {
@@ -820,14 +837,10 @@ Var GruCellOp(const Var& gi, const Var& gh, const Var& h_prev) {
           const float* ghr = ghv + static_cast<size_t>(r) * 3 * h;
           const float* hp = hpv + static_cast<size_t>(r) * h;
           float* dgi =
-              need_gi ? gi_impl->grad.data() + static_cast<size_t>(r) * 3 * h
-                      : nullptr;
+              need_gi ? gi_grad + static_cast<size_t>(r) * 3 * h : nullptr;
           float* dgh =
-              need_gh ? gh_impl->grad.data() + static_cast<size_t>(r) * 3 * h
-                      : nullptr;
-          float* dhp = need_hp
-                           ? hp_impl->grad.data() + static_cast<size_t>(r) * h
-                           : nullptr;
+              need_gh ? gh_grad + static_cast<size_t>(r) * 3 * h : nullptr;
+          float* dhp = need_hp ? hp_grad + static_cast<size_t>(r) * h : nullptr;
           for (int j = 0; j < h; ++j) {
             const float rg = a[j];
             const float zg = a[h + j];

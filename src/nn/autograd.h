@@ -30,18 +30,17 @@ using BackwardFn = kern::ArenaFn<void(VarImpl*)>;
 /// its parents. Not used directly by clients; see Var.
 struct VarImpl {
   Tensor value;
-  Tensor grad;  // allocated lazily, same shape as value
+  Tensor grad;  // allocated lazily, same shape as value; see EnsureGrad()
   bool requires_grad = false;
   uint64_t visit_epoch = 0;  // Backward() traversal mark; see autograd.cc
   ParentVec parents;
   BackwardFn backward_fn;
 
-  /// Allocates (zeroed) the gradient tensor if absent.
-  void EnsureGrad() {
-    if (grad.empty() && !value.empty()) {
-      grad = Tensor(value.rows(), value.cols());
-    }
-  }
+  /// The tensor this node's gradient accumulates into, allocated (zeroed)
+  /// if absent. Every backward closure writes its parents' gradients
+  /// through it. It is `grad`, except for a leaf that a
+  /// Var::BackwardInto running on the calling thread redirects.
+  Tensor& EnsureGrad();
 };
 
 /// Allocates a graph node in the thread arena (via allocate_shared, so
@@ -100,6 +99,15 @@ class Var {
   /// Runs reverse-mode accumulation from this node. The node must be a
   /// 1x1 scalar; its seed gradient is 1.
   void Backward() const;
+
+  /// Backward(), except that the gradients of the leaves in `params`
+  /// accumulate into the same-index tensors of `grads` (sized like
+  /// `params`; an empty tensor starts from zero) and the leaves' own
+  /// gradients stay untouched. Backward() writes no other leaf field,
+  /// so threads can run this at once over graphs built on one set of
+  /// parameters, each into its own `grads`.
+  void BackwardInto(const std::vector<Var>& params,
+                    std::vector<Tensor>& grads) const;
 
   internal::VarImpl* impl() const { return impl_.get(); }
   const std::shared_ptr<internal::VarImpl>& impl_ptr() const { return impl_; }

@@ -11,15 +11,23 @@ void GradAccumulator::BeginBatch(int num_shards) {
   filled_.assign(num_shards, 0);
 }
 
-void GradAccumulator::CaptureShard(int shard,
-                                   const std::vector<Var>& replica_params) {
+void GradAccumulator::Backward(int shard, const Var& loss) {
   TPR_CHECK(shard >= 0 && shard < static_cast<int>(shard_grads_.size()));
-  TPR_CHECK(replica_params.size() == master_.size());
   auto& slot = shard_grads_[shard];
-  slot.resize(replica_params.size());
-  for (size_t p = 0; p < replica_params.size(); ++p) {
-    internal::VarImpl* impl = replica_params[p].impl();
-    // Moving leaves the replica's grad empty == zeroed for the next use.
+  slot.resize(master_.size());
+  loss.BackwardInto(master_, slot);
+  filled_[shard] = 1;
+}
+
+void GradAccumulator::CaptureShard(int shard,
+                                   const std::vector<Var>& params) {
+  TPR_CHECK(shard >= 0 && shard < static_cast<int>(shard_grads_.size()));
+  TPR_CHECK(params.size() == master_.size());
+  auto& slot = shard_grads_[shard];
+  slot.resize(params.size());
+  for (size_t p = 0; p < params.size(); ++p) {
+    internal::VarImpl* impl = params[p].impl();
+    // Moving leaves the gradient empty == zeroed for the next use.
     slot[p] = std::move(impl->grad);
     impl->grad = Tensor();
   }
@@ -39,23 +47,12 @@ void GradAccumulator::Reduce(float scale) {
     for (size_t p = 0; p < master_.size(); ++p) {
       const Tensor& g = slot[p];
       if (g.empty()) continue;  // parameter unused by this shard's graph
-      internal::VarImpl* impl = master_[p].impl();
-      impl->EnsureGrad();
-      TPR_CHECK(impl->grad.SameShape(g));
-      float* dst = impl->grad.data();
+      Tensor& master_grad = master_[p].impl()->EnsureGrad();
+      TPR_CHECK(master_grad.SameShape(g));
+      float* dst = master_grad.data();
       const float* src = g.data();
       for (size_t i = 0; i < g.size(); ++i) dst[i] += scale * src[i];
     }
-  }
-}
-
-void CopyParamValues(const std::vector<Var>& from, std::vector<Var>& to) {
-  TPR_CHECK(from.size() == to.size());
-  for (size_t p = 0; p < from.size(); ++p) {
-    const Tensor& src = from[p].value();
-    Tensor& dst = to[p].mutable_value();
-    TPR_CHECK(dst.SameShape(src));
-    std::copy(src.data(), src.data() + src.size(), dst.data());
   }
 }
 

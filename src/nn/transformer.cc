@@ -30,17 +30,15 @@ Var ScaledDotScores(const Var& q, const Var& k, float scale) {
       [q_impl, k_impl, scale](internal::VarImpl* self) {
         // dQ = dS * K * scale ; dK = dS^T * Q * scale
         if (q_impl->requires_grad) {
-          q_impl->EnsureGrad();
+          float* g = q_impl->EnsureGrad().data();
           Tensor tmp(q_impl->value.rows(), q_impl->value.cols());
           MatMulAccumulate(self->grad, k_impl->value, tmp);
-          float* g = q_impl->grad.data();
           for (size_t i = 0; i < tmp.size(); ++i) g[i] += tmp[i] * scale;
         }
         if (k_impl->requires_grad) {
-          k_impl->EnsureGrad();
+          float* g = k_impl->EnsureGrad().data();
           Tensor tmp(k_impl->value.rows(), k_impl->value.cols());
           MatMulTransAAccumulate(self->grad, q_impl->value, tmp);
-          float* g = k_impl->grad.data();
           for (size_t i = 0; i < tmp.size(); ++i) g[i] += tmp[i] * scale;
         }
       });

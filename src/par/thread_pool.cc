@@ -173,7 +173,9 @@ void ThreadPool::RunForChunk(const std::shared_ptr<ForState>& state) {
     state->done += finished;
     if (error &&
         (!state->error || error_index < state->error_index)) {
-      state->error = error;
+      // Hand the reference over: this thread must not release the
+      // exception object after the caller may be reading it.
+      state->error = std::move(error);
       state->error_index = error_index;
     }
     if (state->done == state->n) state->done_cv.notify_all();
@@ -248,9 +250,15 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
     Enqueue([state] { RunForChunk(state); });
   }
   RunForChunk(state);  // the caller works too, as slot 0
-  std::unique_lock<std::mutex> lock(state->m);
-  state->done_cv.wait(lock, [&] { return state->done == state->n; });
-  if (state->error) std::rethrow_exception(state->error);
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(state->m);
+    state->done_cv.wait(lock, [&] { return state->done == state->n; });
+    // Take the exception out under the lock as well: a helper may still
+    // hold the last ForState reference.
+    error = std::move(state->error);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 namespace {

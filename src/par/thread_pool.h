@@ -16,7 +16,7 @@ namespace tpr::par {
 /// Worker slot of the calling thread: 0 for a pool's caller thread (and
 /// any thread outside a pool), 1..num_threads-1 for pool workers. Stable
 /// for the lifetime of the thread, so callers can index per-worker
-/// scratch state (e.g. model replicas) without locks.
+/// scratch state (e.g. per-worker partial sums) without locks.
 int WorkerIndex();
 
 /// Thread count requested via the TPR_THREADS environment variable,

@@ -166,8 +166,9 @@ void RemoveQuantArtifact(const std::string& dir, uint64_t seq);
 /// the pre-projection TPR exactly like the fp32 EncodeValue does, from
 /// the same FeatureSpace. Deterministic for a fixed TPR_KERNEL;
 /// identical across kernels up to the fused LSTM cell (the GEMMs are
-/// exact, the epilogues scalar). Not copyable: the plan borrows the
-/// model's tables and the widened panels.
+/// exact, and the epilogues' avx2 legs equal their scalar ones bit for
+/// bit). Not copyable: the plan borrows the model's tables and the
+/// widened panels.
 class QuantizedEncoder {
  public:
   /// `model` must be internally consistent, as QuantizeEncoder output

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/supervised.h"
 #include "core/wsc_trainer.h"
 #include "nn/autograd.h"
 #include "nn/grad_accumulator.h"
@@ -168,13 +169,87 @@ TEST(GradAccumulatorTest, ReduceSumsShardsInOrder) {
   EXPECT_FLOAT_EQ(master.grad().at(0, 1), 2.0f);
 }
 
-TEST(GradAccumulatorTest, CopyParamValuesSyncsReplicas) {
-  auto master = nn::Var::Leaf(nn::Tensor::RowVector({3.0f, -1.0f}), true);
-  std::vector<nn::Var> replica = {
-      nn::Var::Leaf(nn::Tensor::RowVector({0.0f, 0.0f}), true)};
-  nn::CopyParamValues({master}, replica);
-  EXPECT_FLOAT_EQ(replica[0].value().at(0, 0), 3.0f);
-  EXPECT_FLOAT_EQ(replica[0].value().at(0, 1), -1.0f);
+// A small model of the trainers' op mix: an embedding Gather, an Affine
+// projection and a 2-unit LSTM layer, plus one parameter no loss uses.
+std::vector<nn::Var> TinyModel() {
+  Rng rng(5);
+  auto random = [&rng](int rows, int cols) {
+    nn::Tensor t(rows, cols);
+    for (size_t i = 0; i < t.size(); ++i) {
+      t[i] = static_cast<float>(rng.Uniform(-0.5, 0.5));
+    }
+    return nn::Var::Leaf(std::move(t), /*requires_grad=*/true);
+  };
+  // A braced list evaluates left to right, so the draws are fixed.
+  constexpr int h = 2;
+  return {random(10, 4),    random(4, 6),     random(1, 6), random(6, 4 * h),
+          random(h, 4 * h), random(1, 4 * h), random(3, 3)};
+}
+
+nn::Var TinyShardLoss(const std::vector<nn::Var>& p, int shard) {
+  std::vector<int> rows;
+  for (int t = 0; t < 3 + shard; ++t) rows.push_back((3 * shard + 7 * t) % 10);
+  nn::Var x = nn::Affine(nn::Gather(p[0], rows), p[1], p[2]);
+  nn::Var h = nn::LstmSequence(x, p[3], p[4], p[5]);
+  return nn::Sum(nn::Mul(h, h));
+}
+
+// Shards that backpropagate concurrently over one set of parameters must
+// reduce to the bits of per-shard replicas: a value copy of the model
+// per shard, a plain Backward() and CaptureShard.
+TEST(GradAccumulatorTest, ShardBackwardMatchesReplicaCapture) {
+  constexpr int kShards = 4;
+  const std::vector<nn::Var> shared = TinyModel();
+  nn::GradAccumulator acc(shared);
+  acc.BeginBatch(kShards);
+  ThreadPool pool(4);
+  pool.ParallelFor(kShards,
+                   [&](int s) { acc.Backward(s, TinyShardLoss(shared, s)); });
+  EXPECT_EQ(acc.captured(), kShards);
+  // Backward fills the slots and never the parameters.
+  for (const auto& p : shared) EXPECT_TRUE(p.grad().empty());
+  acc.Reduce(1.0f / kShards);
+
+  const std::vector<nn::Var> reference = TinyModel();
+  nn::GradAccumulator ref_acc(reference);
+  ref_acc.BeginBatch(kShards);
+  for (int s = 0; s < kShards; ++s) {
+    std::vector<nn::Var> replica;
+    for (const auto& p : reference) {
+      replica.push_back(nn::Var::Leaf(p.value(), /*requires_grad=*/true));
+    }
+    TinyShardLoss(replica, s).Backward();
+    ref_acc.CaptureShard(s, replica);
+  }
+  ref_acc.Reduce(1.0f / kShards);
+
+  for (size_t p = 0; p + 1 < shared.size(); ++p) {
+    const nn::Tensor& got = shared[p].grad();
+    const nn::Tensor& want = reference[p].grad();
+    ASSERT_TRUE(want.SameShape(shared[p].value())) << "parameter " << p;
+    ASSERT_TRUE(got.SameShape(want)) << "parameter " << p;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "parameter " << p << " element " << i;
+    }
+  }
+  EXPECT_TRUE(shared.back().grad().empty());  // no shard uses it
+}
+
+// A shard backward that throws must take its redirect with it: the pool
+// reuses the thread, and a stale redirect would swallow the gradients of
+// that thread's next backward.
+TEST(GradAccumulatorTest, ThrowingBackwardLeavesNoRedirectBehind) {
+  auto p = nn::Var::Leaf(nn::Tensor::RowVector({2.0f}), true);
+  nn::GradAccumulator acc({p});
+  acc.BeginBatch(1);
+  nn::Var poisoned =
+      nn::MakeOp(nn::Tensor(1, 1), {p}, [](nn::internal::VarImpl*) {
+        throw std::runtime_error("backward failed");
+      });
+  EXPECT_THROW(acc.Backward(0, poisoned), std::runtime_error);
+  nn::Sum(nn::Scale(p, 3.0f)).Backward();
+  ASSERT_FALSE(p.grad().empty());
+  EXPECT_EQ(p.grad()[0], 3.0f);
 }
 
 // ---------------------------------------------------------------------------
@@ -237,6 +312,40 @@ TEST_F(ParDeterminismTest, TrainEpochIsBitwiseIdenticalAcrossThreadCounts) {
   SetDefaultThreads(ConfiguredThreads());  // restore for other tests
 
   EXPECT_EQ(loss1, loss4);  // exact, not approximate
+  ASSERT_EQ(params1.size(), params4.size());
+  for (size_t i = 0; i < params1.size(); ++i) {
+    ASSERT_EQ(params1[i], params4[i]) << "parameter element " << i;
+  }
+}
+
+// The supervised baselines train through the same shard backward: the
+// PathRank encoder and head must come out bit for bit the same at 1 and 4
+// threads.
+TEST_F(ParDeterminismTest,
+       SupervisedTrainIsBitwiseIdenticalAcrossThreadCounts) {
+  std::vector<int> idx(40);
+  std::iota(idx.begin(), idx.end(), 0);
+  ASSERT_GE((*features_)->data->labeled.size(), idx.size());
+
+  auto train = [&](int threads) {
+    SetDefaultThreads(threads);
+    baselines::SupervisedConfig cfg;
+    cfg.encoder.d_hidden = 16;
+    cfg.epochs = 2;
+    baselines::PathRankModel model(*features_, idx, cfg);
+    EXPECT_TRUE(model.Train().ok());
+    std::vector<float> flat;
+    for (const auto& p : model.StateParams()) {
+      const auto& v = p.value();
+      flat.insert(flat.end(), v.data(), v.data() + v.size());
+    }
+    return flat;
+  };
+
+  const auto params1 = train(1);
+  const auto params4 = train(4);
+  SetDefaultThreads(ConfiguredThreads());  // restore for other tests
+
   ASSERT_EQ(params1.size(), params4.size());
   for (size_t i = 0; i < params1.size(); ++i) {
     ASSERT_EQ(params1[i], params4[i]) << "parameter element " << i;
