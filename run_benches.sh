@@ -130,6 +130,21 @@ if [ "$smoke" = true ]; then
     echo "[suite] FAILED: drift trace differs between 1 and 4 threads" >&2
     fail=1
   fi
+  # fig7's stdout is timing-free: WSCCL pretraining, its curriculum
+  # experts and every optimizer step must come out byte-identical at 1
+  # and 4 threads.
+  echo "[suite] fig7 determinism: threads=1 vs 4" >&2
+  if TPR_THREADS=1 "$bindir/bench_fig7_pretraining" --smoke \
+        > "$outdir/bench_fig7_pretraining.t1.out" 2>/dev/null \
+      && TPR_THREADS=4 "$bindir/bench_fig7_pretraining" --smoke \
+        > "$outdir/bench_fig7_pretraining.t4.out" 2>/dev/null \
+      && cmp -s "$outdir/bench_fig7_pretraining.t1.out" \
+                "$outdir/bench_fig7_pretraining.t4.out"; then
+    echo "[suite] fig7 output identical across thread counts" >&2
+  else
+    echo "[suite] FAILED: fig7 output differs between 1 and 4 threads" >&2
+    fail=1
+  fi
   # Fleet shard-scaling floor: 3 single-worker shards behind the router
   # must deliver >= 2.4x the batched req/s of 1 shard. The degraded
   # floor covers runners with fewer cores than the three shard workers

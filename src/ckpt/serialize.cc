@@ -1,5 +1,6 @@
 #include "ckpt/serialize.h"
 
+#include <array>
 #include <limits>
 
 namespace tpr::ckpt {
@@ -12,30 +13,44 @@ namespace {
 constexpr uint64_t kMaxTensorElements = 64ull * 1024 * 1024;
 constexpr uint64_t kMaxListEntries = 1ull * 1024 * 1024;
 
-const uint32_t* CrcTable() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
+// Slicing-by-8 tables for the reflected IEEE polynomial: t[0] is the
+// bytewise table, and t[k][b] is the CRC of byte b followed by k zero
+// bytes, so eight table lookups advance the CRC by eight bytes.
+const std::array<std::array<uint32_t, 256>, 8>& CrcTables() {
+  static const auto tables = [] {
+    std::array<std::array<uint32_t, 256>, 8> t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 }  // namespace
 
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t n) {
-  const uint32_t* table = CrcTable();
+  const auto& t = CrcTables();
   const auto* p = static_cast<const unsigned char*>(data);
   crc = ~crc;
-  for (size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    // Bytes assembled explicitly, so the loop is endian-independent.
+    const uint32_t lo = crc ^ (uint32_t{p[0]} | uint32_t{p[1]} << 8 |
+                               uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+          t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
   }
+  for (; n > 0; --n, ++p) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return ~crc;
 }
 

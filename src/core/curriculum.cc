@@ -53,15 +53,16 @@ StatusOr<std::vector<ScoredSample>> EvaluateDifficulty(
   const int n = static_cast<int>(meta_sets.size());
   if (n == 0) return Status::InvalidArgument("no samples to score");
 
-  // Train one expert per meta-set. Experts are fully independent (own
-  // seed, own optimizer, own data shard), so they train concurrently;
-  // each expert's construction and updates are deterministic functions
+  // Train one expert per meta-set, one after another on the calling
+  // thread: each expert's TrainEpoch fans its shards out over the whole
+  // pool (a ParallelFor around the experts would run every shard of an
+  // expert inline on one worker). Experts are independent (own seed,
+  // own optimizer, own data shard) and each is a deterministic function
   // of its config alone, so the result is thread-count invariant.
   std::vector<std::unique_ptr<WscModel>> experts(n);
-  std::vector<Status> expert_status(n, Status::OK());
   {
     obs::ScopedSpan experts_span("curriculum.train_experts", "experts", n);
-    par::DefaultPool().ParallelFor(n, [&](int j) {
+    for (int j = 0; j < n; ++j) {
       obs::ScopedSpan expert_span("curriculum.expert", "expert", j);
       Stopwatch expert_sw;
       WscConfig expert_config = wsc_config;
@@ -70,19 +71,13 @@ StatusOr<std::vector<ScoredSample>> EvaluateDifficulty(
       experts[j] = std::make_unique<WscModel>(features, expert_config);
       for (int epoch = 0; epoch < config.expert_epochs; ++epoch) {
         auto loss = experts[j]->TrainEpoch(meta_sets[j]);
-        if (!loss.ok()) {
-          expert_status[j] = loss.status();
-          return;
-        }
+        if (!loss.ok()) return loss.status();
       }
       if (obs::MetricsEnabled()) {
         obs::GetHistogram("curriculum.expert_seconds")
             .Observe(expert_sw.ElapsedSeconds());
       }
-    });
-  }
-  for (const auto& st : expert_status) {
-    if (!st.ok()) return st;
+    }
   }
 
   // Score every sample: sum of cosine similarities between its own

@@ -449,10 +449,12 @@ namespace {
 
 // This TU is compiled with -mfma and the default -ffp-contract=fast, so
 // GCC will happily fuse a mul_ps feeding an add_ps into one vfmadd —
-// which rounds once where the scalar epilogue rounds twice and would
-// break bitwise kernel-independence of the dequant path. The empty asm
-// pins the product in a register, making the mul observable and
-// therefore uncontractable. Costs nothing at runtime.
+// which rounds once where the scalar code rounds twice and would break
+// the bitwise kernel-independence of the dequant epilogues and of
+// AdamUpdate. The empty asm pins the product in a register, making the
+// mul observable and therefore uncontractable. Costs nothing at runtime.
+// Plain scalar code here contracts too, which is why those kernels
+// leave their n % 8 tails to kern.cc.
 inline __m256 BlockFmaContraction(__m256 v) {
   asm("" : "+x"(v));
   return v;
@@ -469,8 +471,7 @@ void DequantBias(const int32_t* acc, float a_scale, const float* b_scales,
   for (int i = 0; i < m; ++i) {
     const int32_t* acc_row = acc + static_cast<size_t>(i) * n;
     float* y_row = y + static_cast<size_t>(i) * n;
-    int j = 0;
-    for (; j + 8 <= n; j += 8) {
+    for (int j = 0; j + 8 <= n; j += 8) {
       const __m256 s = _mm256_mul_ps(va, _mm256_loadu_ps(b_scales + j));
       const __m256 v = BlockFmaContraction(_mm256_mul_ps(
           _mm256_cvtepi32_ps(_mm256_loadu_si256(
@@ -479,10 +480,6 @@ void DequantBias(const int32_t* acc, float a_scale, const float* b_scales,
       _mm256_storeu_ps(
           y_row + j,
           bias != nullptr ? _mm256_add_ps(v, _mm256_loadu_ps(bias + j)) : v);
-    }
-    for (; j < n; ++j) {
-      const float v = static_cast<float>(acc_row[j]) * (a_scale * b_scales[j]);
-      y_row[j] = bias != nullptr ? v + bias[j] : v;
     }
   }
 }
@@ -493,17 +490,13 @@ void DequantAcc(const int32_t* acc, float a_scale, const float* b_scales,
   for (int i = 0; i < m; ++i) {
     const int32_t* acc_row = acc + static_cast<size_t>(i) * n;
     float* y_row = y + static_cast<size_t>(i) * n;
-    int j = 0;
-    for (; j + 8 <= n; j += 8) {
+    for (int j = 0; j + 8 <= n; j += 8) {
       const __m256 s = _mm256_mul_ps(va, _mm256_loadu_ps(b_scales + j));
       const __m256 v = BlockFmaContraction(_mm256_mul_ps(
           _mm256_cvtepi32_ps(_mm256_loadu_si256(
               reinterpret_cast<const __m256i*>(acc_row + j))),
           s));
       _mm256_storeu_ps(y_row + j, _mm256_add_ps(_mm256_loadu_ps(y_row + j), v));
-    }
-    for (; j < n; ++j) {
-      y_row[j] += static_cast<float>(acc_row[j]) * (a_scale * b_scales[j]);
     }
   }
 }
@@ -516,8 +509,7 @@ void QuantizeRow(const float* x, float inv_scale, int8_t* q, int n) {
   const __m256 vs = _mm256_set1_ps(inv_scale);
   const __m256 vmax = _mm256_set1_ps(127.0f);
   const __m256 vmin = _mm256_set1_ps(-127.0f);
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
+  for (int i = 0; i + 8 <= n; i += 8) {
     __m256 r = _mm256_round_ps(_mm256_mul_ps(_mm256_loadu_ps(x + i), vs),
                                _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
     r = _mm256_min_ps(r, vmax);
@@ -528,11 +520,39 @@ void QuantizeRow(const float* x, float inv_scale, int8_t* q, int n) {
     const __m128i v8 = _mm_packs_epi16(v16, _mm_setzero_si128());
     _mm_storel_epi64(reinterpret_cast<__m128i*>(q + i), v8);
   }
-  for (; i < n; ++i) {
-    float r = nearbyintf(x[i] * inv_scale);
-    if (r > 127.0f) r = 127.0f;
-    if (r < -127.0f) r = -127.0f;
-    q[i] = static_cast<int8_t>(r);
+}
+
+void AdamUpdate(float* w, float* m, float* v, const float* g, int n,
+                float lr, float b1, float b2, float bc1, float bc2,
+                float eps) {
+  // Lane-wise the scalar sequence of kern.cc, every operation correctly
+  // rounded as there (mul, add, div, sqrt). Each product that feeds an
+  // add or a sub is blocked from FMA contraction; lr * mhat feeds a div
+  // and cannot contract.
+  const __m256 vb1 = _mm256_set1_ps(b1);
+  const __m256 vc1 = _mm256_set1_ps(1.0f - b1);
+  const __m256 vb2 = _mm256_set1_ps(b2);
+  const __m256 vc2 = _mm256_set1_ps(1.0f - b2);
+  const __m256 vbc1 = _mm256_set1_ps(bc1);
+  const __m256 vbc2 = _mm256_set1_ps(bc2);
+  const __m256 vlr = _mm256_set1_ps(lr);
+  const __m256 veps = _mm256_set1_ps(eps);
+  for (int i = 0; i + 8 <= n; i += 8) {
+    const __m256 gi = _mm256_loadu_ps(g + i);
+    const __m256 mi = _mm256_add_ps(
+        BlockFmaContraction(_mm256_mul_ps(vb1, _mm256_loadu_ps(m + i))),
+        BlockFmaContraction(_mm256_mul_ps(vc1, gi)));
+    const __m256 vi = _mm256_add_ps(
+        BlockFmaContraction(_mm256_mul_ps(vb2, _mm256_loadu_ps(v + i))),
+        BlockFmaContraction(_mm256_mul_ps(_mm256_mul_ps(vc2, gi), gi)));
+    _mm256_storeu_ps(m + i, mi);
+    _mm256_storeu_ps(v + i, vi);
+    const __m256 mhat = _mm256_div_ps(mi, vbc1);
+    const __m256 vhat = _mm256_div_ps(vi, vbc2);
+    const __m256 step =
+        _mm256_div_ps(_mm256_mul_ps(vlr, mhat),
+                      _mm256_add_ps(_mm256_sqrt_ps(vhat), veps));
+    _mm256_storeu_ps(w + i, _mm256_sub_ps(_mm256_loadu_ps(w + i), step));
   }
 }
 

@@ -235,21 +235,37 @@ void GemmInt8Wide(const int8_t* a, const int16_t* btw, int32_t* out, int m,
   scalar::GemmInt8Wide(a, btw, out, m, k, n);
 }
 
+namespace {
+
+// Runs a bitwise avx2 leg (the int8 epilogues, AdamUpdate) over the
+// whole 8-lane blocks of n columns when avx2 is active, and returns the
+// first column left to the caller's scalar loop. Every tail runs here:
+// the -mfma translation unit would contract a scalar tail into FMAs.
+template <typename Leg>
+int Avx2Blocks([[maybe_unused]] int n, [[maybe_unused]] const Leg& leg) {
+#if !defined(TPR_NO_AVX2)
+  if (n >= 8 && ActiveKernel() == Kernel::kAvx2) {
+    leg();
+    return n & ~7;
+  }
+#endif
+  return 0;
+}
+
+}  // namespace
+
 void DequantBias(const int32_t* acc, float a_scale, const float* b_scales,
                  const float* bias, float* y, int m, int n) {
   // The avx2 epilogue applies the identical lane-wise op sequence (one
   // mul + one mul + one add, no FMA), so the quantized forward stays
   // bitwise kernel-independent up to the fused cell.
-#if !defined(TPR_NO_AVX2)
-  if (n >= 8 && ActiveKernel() == Kernel::kAvx2) {
+  const int j0 = Avx2Blocks(n, [&] {
     avx2::DequantBias(acc, a_scale, b_scales, bias, y, m, n);
-    return;
-  }
-#endif
+  });
   for (int i = 0; i < m; ++i) {
     const int32_t* acc_row = acc + static_cast<size_t>(i) * n;
     float* y_row = y + static_cast<size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
+    for (int j = j0; j < n; ++j) {
       const float v = static_cast<float>(acc_row[j]) * (a_scale * b_scales[j]);
       y_row[j] = bias != nullptr ? v + bias[j] : v;
     }
@@ -258,29 +274,21 @@ void DequantBias(const int32_t* acc, float a_scale, const float* b_scales,
 
 void DequantAcc(const int32_t* acc, float a_scale, const float* b_scales,
                 float* y, int m, int n) {
-#if !defined(TPR_NO_AVX2)
-  if (n >= 8 && ActiveKernel() == Kernel::kAvx2) {
-    avx2::DequantAcc(acc, a_scale, b_scales, y, m, n);
-    return;
-  }
-#endif
+  const int j0 = Avx2Blocks(
+      n, [&] { avx2::DequantAcc(acc, a_scale, b_scales, y, m, n); });
   for (int i = 0; i < m; ++i) {
     const int32_t* acc_row = acc + static_cast<size_t>(i) * n;
     float* y_row = y + static_cast<size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
+    for (int j = j0; j < n; ++j) {
       y_row[j] += static_cast<float>(acc_row[j]) * (a_scale * b_scales[j]);
     }
   }
 }
 
 void QuantizeRow(const float* x, float inv_scale, int8_t* q, int n) {
-#if !defined(TPR_NO_AVX2)
-  if (n >= 8 && ActiveKernel() == Kernel::kAvx2) {
-    avx2::QuantizeRow(x, inv_scale, q, n);
-    return;
-  }
-#endif
-  for (int i = 0; i < n; ++i) {
+  const int i0 =
+      Avx2Blocks(n, [&] { avx2::QuantizeRow(x, inv_scale, q, n); });
+  for (int i = i0; i < n; ++i) {
     // nearbyintf under the default rounding mode is round-to-nearest-
     // even, matching the offline weight quantizer.
     float r = std::nearbyintf(x[i] * inv_scale);
@@ -318,6 +326,23 @@ void AddAcc(const float* x, float* y, int n) {
   }
 #endif
   for (int i = 0; i < n; ++i) y[i] += x[i];
+}
+
+void AdamUpdate(float* w, float* m, float* v, const float* g, int n,
+                float lr, float b1, float b2, float bc1, float bc2,
+                float eps) {
+  const float c1 = 1.0f - b1;
+  const float c2 = 1.0f - b2;
+  const int i0 = Avx2Blocks(n, [&] {
+    avx2::AdamUpdate(w, m, v, g, n, lr, b1, b2, bc1, bc2, eps);
+  });
+  for (int i = i0; i < n; ++i) {
+    m[i] = b1 * m[i] + c1 * g[i];
+    v[i] = b2 * v[i] + c2 * g[i] * g[i];
+    const float mhat = m[i] / bc1;
+    const float vhat = v[i] / bc2;
+    w[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+  }
 }
 
 void LstmCellRow(const float* g, const float* c_prev, float* act, float* out,

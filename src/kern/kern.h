@@ -94,15 +94,30 @@ void AxpyAcc(float alpha, const float* x, float* y, int n);
 /// y[i] += x[i]
 void AddAcc(const float* x, float* y, int n);
 
+/// One Adam update of n elements, in place, in the scalar op order:
+///   m = b1*m + (1-b1)*g;   v = b2*v + (1-b2)*g*g;
+///   w -= lr * (m/bc1) / (sqrt(v/bc2) + eps).
+/// bc1/bc2 are the bias corrections 1 - b^t. Unlike the accumulators
+/// above, the avx2 leg is bitwise equal to scalar: it applies the same
+/// sequence lane-wise with no FMA, runs whole 8-lane blocks only and
+/// leaves the n % 8 tail to the scalar loop in kern.cc, because the
+/// avx2 translation unit is built with -mfma and GCC contracts plain
+/// scalar code there too.
+void AdamUpdate(float* w, float* m, float* v, const float* g, int n,
+                float lr, float b1, float b2, float bc1, float bc2,
+                float eps);
+
 // ---------------------------------------------------------------------------
 // Int8 inference kernels (tpr::quant). Integer accumulation is exact, so
 // — unlike the fp32 GEMMs above — the scalar and avx2 GemmInt8Wide
 // produce bitwise-identical int32 results; the avx2 form only reorders
 // an associative integer sum. The dequant and quantize epilogues
 // dispatch to avx2 for n >= 8, and their lanes apply the scalar op
-// sequence exactly (plain mul + add, no FMA, round-to-nearest-even), so
-// the quantized forward is identical under either kernel up to the fused
-// cell, which dispatches like the fp32 path.
+// sequence exactly (plain mul + add, no FMA, round-to-nearest-even) over
+// whole 8-lane blocks; the n % 8 tail of each row runs in kern.cc's
+// scalar loop, never in the -mfma translation unit. So the quantized
+// forward is identical under either kernel up to the fused cell, which
+// dispatches like the fp32 path.
 // ---------------------------------------------------------------------------
 
 /// out(m x n) = a(m x k, int8) * btw(n x k)^T, int32 accumulation

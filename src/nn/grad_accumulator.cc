@@ -1,27 +1,73 @@
 #include "nn/grad_accumulator.h"
 
+#include <algorithm>
+
+#include "par/thread_pool.h"
+
 namespace tpr::nn {
 
+ParamChunks::ParamChunks(const std::vector<Var>& params) {
+  offsets_.reserve(params.size() + 1);
+  offsets_.push_back(0);
+  for (const auto& p : params) {
+    offsets_.push_back(offsets_.back() + p.value().size());
+  }
+}
+
+void ParamChunks::ForEach(
+    const std::function<void(size_t, size_t, size_t)>& fn) const {
+  const size_t total = offsets_.back();
+  auto run_chunk = [&](size_t lo, size_t hi) {
+    // The last parameter starting at or before lo holds it.
+    size_t k = static_cast<size_t>(
+        std::upper_bound(offsets_.begin(), offsets_.end(), lo) -
+        offsets_.begin() - 1);
+    for (; lo < hi; ++k) {
+      const size_t end = std::min(hi, offsets_[k + 1]);
+      if (end > lo) fn(k, lo - offsets_[k], end - offsets_[k]);
+      lo = end;
+    }
+  };
+  const size_t chunks = (total + kElements - 1) / kElements;
+  if (chunks <= 1) {
+    run_chunk(0, total);
+    return;
+  }
+  par::DefaultPool().ParallelFor(static_cast<int>(chunks), [&](int c) {
+    const size_t lo = static_cast<size_t>(c) * kElements;
+    run_chunk(lo, std::min(total, lo + kElements));
+  });
+}
+
 GradAccumulator::GradAccumulator(std::vector<Var> master_params)
-    : master_(std::move(master_params)) {}
+    : master_(std::move(master_params)), chunks_(master_) {}
 
 void GradAccumulator::BeginBatch(int num_shards) {
   TPR_CHECK(num_shards >= 1);
-  shard_grads_.assign(num_shards, {});
+  if (shard_grads_.size() < static_cast<size_t>(num_shards)) {
+    shard_grads_.resize(num_shards);
+    dirty_.resize(num_shards, 0);
+  }
+  for (size_t s = 0; s < shard_grads_.size(); ++s) {
+    if (!dirty_[s]) continue;
+    for (Tensor& g : shard_grads_[s]) g.Fill(0.0f);
+    dirty_[s] = 0;
+  }
   filled_.assign(num_shards, 0);
 }
 
 void GradAccumulator::Backward(int shard, const Var& loss) {
-  TPR_CHECK(shard >= 0 && shard < static_cast<int>(shard_grads_.size()));
+  TPR_CHECK(shard >= 0 && shard < static_cast<int>(filled_.size()));
   auto& slot = shard_grads_[shard];
   slot.resize(master_.size());
+  dirty_[shard] = 1;
   loss.BackwardInto(master_, slot);
   filled_[shard] = 1;
 }
 
 void GradAccumulator::CaptureShard(int shard,
                                    const std::vector<Var>& params) {
-  TPR_CHECK(shard >= 0 && shard < static_cast<int>(shard_grads_.size()));
+  TPR_CHECK(shard >= 0 && shard < static_cast<int>(filled_.size()));
   TPR_CHECK(params.size() == master_.size());
   auto& slot = shard_grads_[shard];
   slot.resize(params.size());
@@ -31,6 +77,7 @@ void GradAccumulator::CaptureShard(int shard,
     slot[p] = std::move(impl->grad);
     impl->grad = Tensor();
   }
+  dirty_[shard] = 1;
   filled_[shard] = 1;
 }
 
@@ -41,19 +88,28 @@ int GradAccumulator::captured() const {
 }
 
 void GradAccumulator::Reduce(float scale) {
-  for (size_t s = 0; s < shard_grads_.size(); ++s) {
+  for (size_t s = 0; s < filled_.size(); ++s) {
     if (!filled_[s]) continue;
-    const auto& slot = shard_grads_[s];
+    dirty_[s] = 0;  // the chunks below zero the whole slot
     for (size_t p = 0; p < master_.size(); ++p) {
-      const Tensor& g = slot[p];
-      if (g.empty()) continue;  // parameter unused by this shard's graph
-      Tensor& master_grad = master_[p].impl()->EnsureGrad();
-      TPR_CHECK(master_grad.SameShape(g));
-      float* dst = master_grad.data();
-      const float* src = g.data();
-      for (size_t i = 0; i < g.size(); ++i) dst[i] += scale * src[i];
+      const Tensor& g = shard_grads_[s][p];
+      if (g.empty()) continue;  // the parameter never reached this slot
+      TPR_CHECK(master_[p].impl()->EnsureGrad().SameShape(g));
     }
   }
+  chunks_.ForEach([&](size_t p, size_t begin, size_t end) {
+    Tensor& master_grad = master_[p].impl()->grad;
+    if (master_grad.empty()) return;
+    float* dst = master_grad.data();
+    for (size_t s = 0; s < filled_.size(); ++s) {
+      if (!filled_[s]) continue;
+      Tensor& g = shard_grads_[s][p];
+      if (g.empty()) continue;
+      float* src = g.data();
+      for (size_t i = begin; i < end; ++i) dst[i] += scale * src[i];
+      std::fill(src + begin, src + end, 0.0f);
+    }
+  });
 }
 
 }  // namespace tpr::nn

@@ -1,11 +1,34 @@
 #ifndef TPR_NN_GRAD_ACCUMULATOR_H_
 #define TPR_NN_GRAD_ACCUMULATOR_H_
 
+#include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "nn/autograd.h"
 
 namespace tpr::nn {
+
+/// Fixed-size element chunks over a parameter list, for the elementwise
+/// passes of an optimizer step (GradAccumulator::Reduce, Adam::Step).
+/// The chunks tile the parameters' elements concatenated in list order,
+/// kElements each, so they depend only on the shapes; an elementwise
+/// pass gives the same bits for any chunking and any thread count.
+class ParamChunks {
+ public:
+  static constexpr size_t kElements = 16384;
+
+  explicit ParamChunks(const std::vector<Var>& params);
+
+  /// Calls fn(k, begin, end) for every piece [begin, end) of parameter k
+  /// that falls inside one chunk, so every element is visited exactly
+  /// once. The chunks run on par::DefaultPool(); a list of at most one
+  /// chunk runs inline on the calling thread, with no pool round-trip.
+  void ForEach(const std::function<void(size_t, size_t, size_t)>& fn) const;
+
+ private:
+  std::vector<size_t> offsets_;  // prefix sums of the element counts
+};
 
 /// Deterministic gradient reduction for data-parallel training.
 ///
@@ -18,19 +41,26 @@ namespace tpr::nn {
 /// in increasing shard order, so the reduced gradient is bitwise
 /// identical no matter how many threads ran the shards — including a
 /// single thread. Nothing may write a parameter while shards run.
+///
+/// Slots persist: a slot tensor is allocated, zeroed, the first time a
+/// shard's backward touches its parameter, and lives as long as the
+/// accumulator. Reduce() zeroes every slot it adds, so the next batch
+/// starts from zero without freeing or allocating anything. A slot a
+/// parameter never touched stays empty and is skipped.
 class GradAccumulator {
  public:
   explicit GradAccumulator(std::vector<Var> master_params);
 
   const std::vector<Var>& params() const { return master_; }
 
-  /// Prepares `num_shards` empty gradient slots for the next reduction.
+  /// Starts a batch of `num_shards` shards with no slot filled. Zeroes
+  /// only the slots a Backward left unreduced (it threw).
   void BeginBatch(int num_shards);
 
   /// Backpropagates `loss` with the gradients of the master parameters
-  /// sent to slot `shard` (starting from zero) instead of the parameters
-  /// themselves (Var::BackwardInto). Safe to call concurrently for
-  /// distinct shard indices.
+  /// sent to slot `shard` (which starts the batch at zero) instead of the
+  /// parameters themselves (Var::BackwardInto). Safe to call concurrently
+  /// for distinct shard indices.
   void Backward(int shard, const Var& loss);
 
   /// Moves the gradients accumulated on `params` (same layout as the
@@ -42,15 +72,20 @@ class GradAccumulator {
   /// Backward and CaptureShard calls of the batch have completed.
   int captured() const;
 
-  /// master.grad += scale * sum over filled slots, iterating slots in
-  /// increasing index order. Does not zero the master gradients first;
-  /// pair with Optimizer::ZeroGrad().
+  /// master.grad += scale * sum over filled slots, each element adding
+  /// the slots in increasing index order, then zeroes those slots. The
+  /// master gradients are allocated on the calling thread; the adds run
+  /// in ParamChunks. Does not zero the master gradients first; pair with
+  /// Optimizer::ZeroGrad(). Adding a zero slot is then a bitwise no-op:
+  /// a sum that starts at +0.0 never becomes -0.0.
   void Reduce(float scale);
 
  private:
   std::vector<Var> master_;
-  std::vector<std::vector<Tensor>> shard_grads_;
-  std::vector<char> filled_;
+  ParamChunks chunks_;
+  std::vector<std::vector<Tensor>> shard_grads_;  // grows, never shrinks
+  std::vector<char> dirty_;   // slot may hold unreduced gradients
+  std::vector<char> filled_;  // per shard of the current batch
 };
 
 }  // namespace tpr::nn

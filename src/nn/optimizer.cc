@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 
+#include "kern/kern.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -53,7 +54,8 @@ Adam::Adam(std::vector<Var> params, float lr, float beta1, float beta2,
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
-      eps_(eps) {
+      eps_(eps),
+      chunks_(params_) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const auto& p : params_) {
@@ -70,20 +72,14 @@ void Adam::Step() {
   ++t_;
   const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
   const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
-  for (size_t k = 0; k < params_.size(); ++k) {
+  chunks_.ForEach([&](size_t k, size_t begin, size_t end) {
     const Tensor& g = params_[k].grad();
-    if (g.empty()) continue;
-    Tensor& w = params_[k].mutable_value();
-    Tensor& m = m_[k];
-    Tensor& v = v_[k];
-    for (size_t i = 0; i < w.size(); ++i) {
-      m[i] = beta1_ * m[i] + (1.0f - beta1_) * g[i];
-      v[i] = beta2_ * v[i] + (1.0f - beta2_) * g[i] * g[i];
-      const float mhat = m[i] / bc1;
-      const float vhat = v[i] / bc2;
-      w[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
-  }
+    if (g.empty()) return;
+    kern::AdamUpdate(params_[k].mutable_value().data() + begin,
+                     m_[k].data() + begin, v_[k].data() + begin,
+                     g.data() + begin, static_cast<int>(end - begin), lr_,
+                     beta1_, beta2_, bc1, bc2, eps_);
+  });
   if (observe) {
     obs::GetCounter("nn.adam_steps").Add();
     obs::GetHistogram("nn.adam_step_seconds")

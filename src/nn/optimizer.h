@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "nn/autograd.h"
+#include "nn/grad_accumulator.h"
 #include "util/status.h"
 
 namespace tpr::nn {
@@ -57,7 +58,11 @@ struct AdamState {
   std::vector<Tensor> v;
 };
 
-/// Adam (Kingma & Ba). The paper trains with lr = 3e-4.
+/// Adam (Kingma & Ba). The paper trains with lr = 3e-4. Step() updates
+/// the parameters in ParamChunks on the default pool through
+/// kern::AdamUpdate, whose scalar and avx2 legs agree bitwise, so the
+/// update keeps its bits at any thread count and under either kernel.
+/// A parameter whose gradient is empty is left untouched.
 class Adam : public Optimizer {
  public:
   Adam(std::vector<Var> params, float lr, float beta1 = 0.9f,
@@ -83,6 +88,7 @@ class Adam : public Optimizer {
   int t_ = 0;
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;
+  ParamChunks chunks_;
 };
 
 }  // namespace tpr::nn

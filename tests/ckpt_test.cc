@@ -209,6 +209,56 @@ TEST(Serialize, AdamImportRejectsShapeMismatch) {
 }
 
 // ---------------------------------------------------------------------------
+// The envelope's CRC-32.
+// ---------------------------------------------------------------------------
+
+// The reflected IEEE CRC-32, one byte at a time: the definition the
+// slicing-by-8 implementation must reproduce.
+uint32_t BytewiseCrc32(const unsigned char* p, size_t n) {
+  uint32_t crc = ~0u;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesTheStandardCheckValue) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+TEST(Crc32Test, ChainedUpdatesEqualOneShotAtEverySplit) {
+  Rng rng(2024);
+  for (size_t n = 0; n <= 64; ++n) {
+    std::vector<unsigned char> buf(n);
+    for (auto& b : buf) b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+    const uint32_t whole = Crc32(buf.data(), n);
+    EXPECT_EQ(whole, BytewiseCrc32(buf.data(), n)) << "n=" << n;
+    for (size_t split = 0; split <= n; ++split) {
+      const uint32_t head = Crc32Update(0, buf.data(), split);
+      EXPECT_EQ(Crc32Update(head, buf.data() + split, n - split), whole)
+          << "n=" << n << " split=" << split;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceOnLargeBuffers) {
+  Rng rng(7);
+  for (int trial = 0; trial < 3; ++trial) {
+    // 1 MiB plus an odd tail, so the 8-byte loop and the bytewise tail
+    // both run.
+    std::vector<unsigned char> buf((1u << 20) + 3 * trial);
+    for (auto& b : buf) b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+    EXPECT_EQ(Crc32(buf.data(), buf.size()),
+              BytewiseCrc32(buf.data(), buf.size()))
+        << "trial " << trial;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Envelope integrity: every flipped byte and every truncation length of a
 // wrapped checkpoint must be detected.
 // ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -10,8 +12,10 @@
 
 #include "baselines/supervised.h"
 #include "core/wsc_trainer.h"
+#include "core/wsccl.h"
 #include "nn/autograd.h"
 #include "nn/grad_accumulator.h"
+#include "nn/optimizer.h"
 #include "synth/presets.h"
 
 namespace tpr::par {
@@ -252,6 +256,199 @@ TEST(GradAccumulatorTest, ThrowingBackwardLeavesNoRedirectBehind) {
   EXPECT_EQ(p.grad()[0], 3.0f);
 }
 
+// Bit patterns, so +0.0 and -0.0 (and NaNs) compare exactly.
+uint32_t FloatBits(float v) {
+  uint32_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+void ExpectSameGradBits(const std::vector<nn::Var>& got,
+                        const std::vector<nn::Var>& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t p = 0; p < got.size(); ++p) {
+    const nn::Tensor& g = got[p].grad();
+    const nn::Tensor& w = want[p].grad();
+    ASSERT_EQ(g.empty(), w.empty()) << where << ": parameter " << p;
+    ASSERT_TRUE(g.SameShape(w)) << where << ": parameter " << p;
+    for (size_t i = 0; i < g.size(); ++i) {
+      ASSERT_EQ(FloatBits(g[i]), FloatBits(w[i]))
+          << where << ": parameter " << p << " element " << i;
+    }
+  }
+}
+
+// TinyModel plus a parameter larger than two ParamChunks, so Reduce runs
+// its chunks on the pool.
+std::vector<nn::Var> TinyModelWithBigParam() {
+  std::vector<nn::Var> params = TinyModel();
+  nn::Tensor big(40, 1000);
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = 0.001f * static_cast<float>(i % 997) - 0.4f;
+  }
+  params.push_back(nn::Var::Leaf(std::move(big), /*requires_grad=*/true));
+  return params;
+}
+
+// Shard `shard`'s loss in a batch: TinyShardLoss plus the big parameter,
+// plus p[6] (3x3) only when `use_p6` and the shard is even. TinyModel's
+// p[6] is otherwise unused.
+nn::Var SlotShardLoss(const std::vector<nn::Var>& p, int shard, bool use_p6) {
+  std::vector<nn::Var> parts = {
+      TinyShardLoss(p, shard),
+      nn::Sum(nn::Scale(nn::Mul(p[7], p[7]), 0.5f + shard))};
+  if (use_p6 && shard % 2 == 0) {
+    parts.push_back(nn::Sum(nn::Mul(p[6], p[6])));
+  }
+  return nn::Sum(nn::ConcatCols(parts));
+}
+
+// Slots persist across batches and Reduce zeroes them in place. Over
+// batches where a parameter is used and then unused, the shard count
+// shrinks and grows, and one shard backward throws halfway through, every
+// reduced gradient must equal that of a fresh accumulator for the batch.
+TEST(GradAccumulatorTest, PersistentSlotsReduceLikeAFreshAccumulator) {
+  SetDefaultThreads(4);
+  ThreadPool pool(4);
+  const std::vector<nn::Var> shared = TinyModelWithBigParam();
+  const std::vector<nn::Var> reference = TinyModelWithBigParam();
+  // Parameters no loss ever touches: they must keep an empty gradient.
+  auto never = nn::Var::Leaf(nn::Tensor(2, 2, 1.0f), /*requires_grad=*/true);
+  std::vector<nn::Var> shared_all = shared, reference_all = reference;
+  shared_all.push_back(never);
+  reference_all.push_back(
+      nn::Var::Leaf(nn::Tensor(2, 2, 1.0f), /*requires_grad=*/true));
+  nn::GradAccumulator acc(shared_all);
+
+  auto reduce_batch = [&](int shards, bool use_p6, const std::string& where) {
+    acc.BeginBatch(shards);
+    pool.ParallelFor(shards, [&](int s) {
+      acc.Backward(s, SlotShardLoss(shared, s, use_p6));
+    });
+    ASSERT_EQ(acc.captured(), shards);
+    for (auto& p : shared_all) p.ZeroGrad();
+    acc.Reduce(1.0f / shards);
+
+    nn::GradAccumulator fresh(reference_all);
+    fresh.BeginBatch(shards);
+    for (int s = 0; s < shards; ++s) {
+      fresh.Backward(s, SlotShardLoss(reference, s, use_p6));
+    }
+    for (auto& p : reference_all) p.ZeroGrad();
+    fresh.Reduce(1.0f / shards);
+    ExpectSameGradBits(shared_all, reference_all, where);
+  };
+
+  reduce_batch(4, /*use_p6=*/true, "batch 1");
+  ASSERT_FALSE(shared[6].grad().empty());
+
+  // Shard 1 throws after its real loss has written its slot: the
+  // poisoned node is the concat's first parent, so it runs last.
+  auto poisoned_shard = [&](int s) {
+    nn::Var loss = SlotShardLoss(shared, s, /*use_p6=*/false);
+    if (s == 1) {
+      nn::Var poisoned = nn::MakeOp(
+          nn::Tensor(1, 1), {shared[7]}, [](nn::internal::VarImpl*) {
+            throw std::runtime_error("backward failed");
+          });
+      loss = nn::Sum(nn::ConcatCols({poisoned, loss}));
+    }
+    acc.Backward(s, loss);
+  };
+  acc.BeginBatch(3);
+  EXPECT_THROW(pool.ParallelFor(3, poisoned_shard), std::runtime_error);
+
+  reduce_batch(2, /*use_p6=*/false, "batch 3 (shrunk, p6 unused)");
+  reduce_batch(4, /*use_p6=*/false, "batch 4 (grown back)");
+  reduce_batch(3, /*use_p6=*/true, "batch 5 (p6 used again)");
+  EXPECT_TRUE(never.grad().empty());
+  SetDefaultThreads(ConfiguredThreads());  // restore for other tests
+}
+
+// Adam::Step runs in ParamChunks on the default pool through
+// kern::AdamUpdate. The update must keep its bits at any thread count,
+// equal the serial per-element loop, and skip a parameter whose gradient
+// is empty (value and moments untouched).
+TEST(AdamChunkTest, StepIsBitwiseIdenticalAcrossThreadCounts) {
+  auto run = [](int threads) {
+    SetDefaultThreads(threads);
+    Rng rng(17);
+    auto leaf = [&rng](int rows, int cols) {
+      nn::Tensor t(rows, cols);
+      for (size_t i = 0; i < t.size(); ++i) {
+        t[i] = static_cast<float>(rng.Gaussian());
+      }
+      return nn::Var::Leaf(std::move(t), /*requires_grad=*/true);
+    };
+    // 37 x 1001 spans three chunks and ends in an odd tail.
+    std::vector<nn::Var> params = {leaf(37, 1001), leaf(1, 5), leaf(3, 3)};
+    nn::Adam adam(params, 1e-2f);
+    for (int step = 0; step < 3; ++step) {
+      for (size_t k = 0; k + 1 < params.size(); ++k) {
+        nn::Tensor& g = params[k].impl()->EnsureGrad();
+        for (size_t i = 0; i < g.size(); ++i) {
+          g[i] = static_cast<float>(rng.Gaussian());
+        }
+      }
+      adam.Step();
+    }
+    SetDefaultThreads(ConfiguredThreads());  // restore for other tests
+    return std::make_pair(params, adam.ExportState());
+  };
+  const auto [p1, s1] = run(1);
+  const auto [p4, s4] = run(4);
+
+  // The serial reference: the per-element loop with the same draws.
+  Rng rng(17);
+  std::vector<nn::Tensor> w, m, v;
+  const std::pair<int, int> shapes[] = {{37, 1001}, {1, 5}, {3, 3}};
+  for (const auto& [rows, cols] : shapes) {
+    nn::Tensor t(rows, cols);
+    for (size_t i = 0; i < t.size(); ++i) {
+      t[i] = static_cast<float>(rng.Gaussian());
+    }
+    m.emplace_back(rows, cols);
+    v.emplace_back(rows, cols);
+    w.push_back(std::move(t));
+  }
+  const nn::Tensor untouched = w[2];
+  for (int t = 1; t <= 3; ++t) {
+    const float bc1 = 1.0f - std::pow(0.9f, static_cast<float>(t));
+    const float bc2 = 1.0f - std::pow(0.999f, static_cast<float>(t));
+    for (size_t k = 0; k + 1 < w.size(); ++k) {
+      for (size_t i = 0; i < w[k].size(); ++i) {
+        const float g = static_cast<float>(rng.Gaussian());
+        m[k][i] = 0.9f * m[k][i] + (1.0f - 0.9f) * g;
+        v[k][i] = 0.999f * v[k][i] + (1.0f - 0.999f) * g * g;
+        const float mhat = m[k][i] / bc1;
+        const float vhat = v[k][i] / bc2;
+        w[k][i] -= 1e-2f * mhat / (std::sqrt(vhat) + 1e-8f);
+      }
+    }
+  }
+
+  ASSERT_EQ(s1.t, 3);
+  for (size_t k = 0; k < w.size(); ++k) {
+    for (size_t i = 0; i < w[k].size(); ++i) {
+      ASSERT_EQ(FloatBits(p1[k].value()[i]), FloatBits(p4[k].value()[i]))
+          << "parameter " << k << " element " << i;
+      ASSERT_EQ(FloatBits(p1[k].value()[i]), FloatBits(w[k][i]))
+          << "parameter " << k << " element " << i;
+      ASSERT_EQ(FloatBits(s1.m[k][i]), FloatBits(s4.m[k][i]));
+      ASSERT_EQ(FloatBits(s1.v[k][i]), FloatBits(s4.v[k][i]));
+      ASSERT_EQ(FloatBits(s1.m[k][i]), FloatBits(m[k][i]));
+      ASSERT_EQ(FloatBits(s1.v[k][i]), FloatBits(v[k][i]));
+    }
+  }
+  // The parameter without a gradient: value and moments untouched.
+  for (size_t i = 0; i < untouched.size(); ++i) {
+    EXPECT_EQ(FloatBits(p4[2].value()[i]), FloatBits(untouched[i]));
+    EXPECT_EQ(s4.m[2][i], 0.0f);
+    EXPECT_EQ(s4.v[2][i], 0.0f);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end determinism: training must be bitwise identical for any
 // thread count because shard structure and rng streams never depend on
@@ -315,6 +512,43 @@ TEST_F(ParDeterminismTest, TrainEpochIsBitwiseIdenticalAcrossThreadCounts) {
   ASSERT_EQ(params1.size(), params4.size());
   for (size_t i = 0; i < params1.size(); ++i) {
     ASSERT_EQ(params1[i], params4[i]) << "parameter element " << i;
+  }
+}
+
+// The whole pipeline with the learned curriculum: experts train one after
+// another with the full pool for their shards, then the staged schedule
+// runs. Both must come out the same at 1 and 4 threads.
+TEST_F(ParDeterminismTest, LearnedCurriculumTrainIsBitwiseIdentical) {
+  auto train = [&](int threads) {
+    SetDefaultThreads(threads);
+    core::WsccalConfig cfg;
+    cfg.wsc = TinyWsc();
+    cfg.curriculum.strategy = core::CurriculumStrategy::kLearned;
+    cfg.curriculum.num_meta_sets = 2;
+    cfg.curriculum.expert_epochs = 1;
+    cfg.stage_epochs = 1;
+    cfg.final_epochs = 1;
+    auto pipeline = core::WsccalPipeline::Train(*features_, cfg);
+    EXPECT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+    std::vector<float> flat;
+    if (!pipeline.ok()) return std::make_pair(0.0, flat);
+    for (const auto& p : (*pipeline)->model().encoder().Parameters()) {
+      const auto& v = p.value();
+      flat.insert(flat.end(), v.data(), v.data() + v.size());
+    }
+    return std::make_pair((*pipeline)->final_loss(), flat);
+  };
+
+  const auto [loss1, params1] = train(1);
+  const auto [loss4, params4] = train(4);
+  SetDefaultThreads(ConfiguredThreads());  // restore for other tests
+
+  EXPECT_EQ(loss1, loss4);  // exact, not approximate
+  ASSERT_FALSE(params1.empty());
+  ASSERT_EQ(params1.size(), params4.size());
+  for (size_t i = 0; i < params1.size(); ++i) {
+    ASSERT_EQ(FloatBits(params1[i]), FloatBits(params4[i]))
+        << "parameter element " << i;
   }
 }
 

@@ -190,19 +190,22 @@ TEST(QuantEpilogueTest, Avx2LegsMatchScalarBitwise) {
   // QuantizeRow / DequantBias / DequantAcc dispatch to avx2 lanes that
   // apply the identical per-element op sequence (round-to-nearest-even,
   // mul, add — no FMA), so the quantized forward must not change with
-  // TPR_KERNEL. Sizes cover the 8-lane step and its tails.
+  // TPR_KERNEL. Sizes cover the 8-lane step and its tails. DequantAcc
+  // accumulates into non-round values, so a tail that fused its multiply
+  // and add (one rounding instead of two) would show.
   if (!kern::CpuSupportsAvx2()) {
     GTEST_SKIP() << "no avx2 on this CPU";
   }
   Rng rng(77);
-  for (const int n : {1, 7, 8, 9, 31, 64, 200}) {
-    std::vector<float> x(n), b_scales(n), bias(n);
+  for (const int n : {1, 7, 8, 9, 12, 31, 64, 200}) {
+    std::vector<float> x(n), b_scales(n), bias(n), y0(n);
     std::vector<int32_t> acc(n);
     for (int i = 0; i < n; ++i) {
       x[i] = static_cast<float>(rng.Uniform() * 40.0 - 20.0);
       b_scales[i] = static_cast<float>(rng.Uniform() * 0.1 + 1e-3);
       bias[i] = static_cast<float>(rng.Uniform() - 0.5);
       acc[i] = static_cast<int32_t>(rng.Uniform() * 60000.0 - 30000.0);
+      y0[i] = static_cast<float>(rng.Uniform() * 2.0 - 1.0);
     }
     // Values straddling the clamp and exact halfway codes.
     x[0] = 1000.0f;
@@ -211,7 +214,7 @@ TEST(QuantEpilogueTest, Avx2LegsMatchScalarBitwise) {
 
     std::vector<int8_t> q_scalar(n, 11), q_avx2(n, 22);
     std::vector<float> yb_scalar(n), yb_avx2(n);
-    std::vector<float> ya_scalar(n, 0.25f), ya_avx2(n, 0.25f);
+    std::vector<float> ya_scalar = y0, ya_avx2 = y0;
     {
       ScopedKernel pin(kern::Kernel::kScalar);
       kern::QuantizeRow(x.data(), 8.0f, q_scalar.data(), n);
