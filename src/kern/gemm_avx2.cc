@@ -450,11 +450,11 @@ namespace {
 // This TU is compiled with -mfma and the default -ffp-contract=fast, so
 // GCC will happily fuse a mul_ps feeding an add_ps into one vfmadd —
 // which rounds once where the scalar code rounds twice and would break
-// the bitwise kernel-independence of the dequant epilogues and of
-// AdamUpdate. The empty asm pins the product in a register, making the
-// mul observable and therefore uncontractable. Costs nothing at runtime.
-// Plain scalar code here contracts too, which is why those kernels
-// leave their n % 8 tails to kern.cc.
+// the bitwise kernel-independence of the dequant epilogues. The empty
+// asm pins the product in a register, making the mul observable and
+// therefore uncontractable. Costs nothing at runtime. Plain scalar code
+// here contracts too, which is why those epilogues leave their n % 8
+// tails to kern.cc.
 inline __m256 BlockFmaContraction(__m256 v) {
   asm("" : "+x"(v));
   return v;
@@ -519,40 +519,6 @@ void QuantizeRow(const float* x, float inv_scale, int8_t* q, int n) {
                                         _mm256_extracti128_si256(vi, 1));
     const __m128i v8 = _mm_packs_epi16(v16, _mm_setzero_si128());
     _mm_storel_epi64(reinterpret_cast<__m128i*>(q + i), v8);
-  }
-}
-
-void AdamUpdate(float* w, float* m, float* v, const float* g, int n,
-                float lr, float b1, float b2, float bc1, float bc2,
-                float eps) {
-  // Lane-wise the scalar sequence of kern.cc, every operation correctly
-  // rounded as there (mul, add, div, sqrt). Each product that feeds an
-  // add or a sub is blocked from FMA contraction; lr * mhat feeds a div
-  // and cannot contract.
-  const __m256 vb1 = _mm256_set1_ps(b1);
-  const __m256 vc1 = _mm256_set1_ps(1.0f - b1);
-  const __m256 vb2 = _mm256_set1_ps(b2);
-  const __m256 vc2 = _mm256_set1_ps(1.0f - b2);
-  const __m256 vbc1 = _mm256_set1_ps(bc1);
-  const __m256 vbc2 = _mm256_set1_ps(bc2);
-  const __m256 vlr = _mm256_set1_ps(lr);
-  const __m256 veps = _mm256_set1_ps(eps);
-  for (int i = 0; i + 8 <= n; i += 8) {
-    const __m256 gi = _mm256_loadu_ps(g + i);
-    const __m256 mi = _mm256_add_ps(
-        BlockFmaContraction(_mm256_mul_ps(vb1, _mm256_loadu_ps(m + i))),
-        BlockFmaContraction(_mm256_mul_ps(vc1, gi)));
-    const __m256 vi = _mm256_add_ps(
-        BlockFmaContraction(_mm256_mul_ps(vb2, _mm256_loadu_ps(v + i))),
-        BlockFmaContraction(_mm256_mul_ps(_mm256_mul_ps(vc2, gi), gi)));
-    _mm256_storeu_ps(m + i, mi);
-    _mm256_storeu_ps(v + i, vi);
-    const __m256 mhat = _mm256_div_ps(mi, vbc1);
-    const __m256 vhat = _mm256_div_ps(vi, vbc2);
-    const __m256 step =
-        _mm256_div_ps(_mm256_mul_ps(vlr, mhat),
-                      _mm256_add_ps(_mm256_sqrt_ps(vhat), veps));
-    _mm256_storeu_ps(w + i, _mm256_sub_ps(_mm256_loadu_ps(w + i), step));
   }
 }
 

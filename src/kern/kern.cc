@@ -237,10 +237,10 @@ void GemmInt8Wide(const int8_t* a, const int16_t* btw, int32_t* out, int m,
 
 namespace {
 
-// Runs a bitwise avx2 leg (the int8 epilogues, AdamUpdate) over the
-// whole 8-lane blocks of n columns when avx2 is active, and returns the
-// first column left to the caller's scalar loop. Every tail runs here:
-// the -mfma translation unit would contract a scalar tail into FMAs.
+// Runs a bitwise avx2 leg (the int8 epilogues) over the whole 8-lane
+// blocks of n columns when avx2 is active, and returns the first column
+// left to the caller's scalar loop. Every tail runs here: the -mfma
+// translation unit would contract a scalar tail into FMAs.
 template <typename Leg>
 int Avx2Blocks([[maybe_unused]] int n, [[maybe_unused]] const Leg& leg) {
 #if !defined(TPR_NO_AVX2)
@@ -326,23 +326,6 @@ void AddAcc(const float* x, float* y, int n) {
   }
 #endif
   for (int i = 0; i < n; ++i) y[i] += x[i];
-}
-
-void AdamUpdate(float* w, float* m, float* v, const float* g, int n,
-                float lr, float b1, float b2, float bc1, float bc2,
-                float eps) {
-  const float c1 = 1.0f - b1;
-  const float c2 = 1.0f - b2;
-  const int i0 = Avx2Blocks(n, [&] {
-    avx2::AdamUpdate(w, m, v, g, n, lr, b1, b2, bc1, bc2, eps);
-  });
-  for (int i = i0; i < n; ++i) {
-    m[i] = b1 * m[i] + c1 * g[i];
-    v[i] = b2 * v[i] + c2 * g[i] * g[i];
-    const float mhat = m[i] / bc1;
-    const float vhat = v[i] / bc2;
-    w[i] -= lr * mhat / (std::sqrt(vhat) + eps);
-  }
 }
 
 void LstmCellRow(const float* g, const float* c_prev, float* act, float* out,

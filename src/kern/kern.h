@@ -94,19 +94,6 @@ void AxpyAcc(float alpha, const float* x, float* y, int n);
 /// y[i] += x[i]
 void AddAcc(const float* x, float* y, int n);
 
-/// One Adam update of n elements, in place, in the scalar op order:
-///   m = b1*m + (1-b1)*g;   v = b2*v + (1-b2)*g*g;
-///   w -= lr * (m/bc1) / (sqrt(v/bc2) + eps).
-/// bc1/bc2 are the bias corrections 1 - b^t. Unlike the accumulators
-/// above, the avx2 leg is bitwise equal to scalar: it applies the same
-/// sequence lane-wise with no FMA, runs whole 8-lane blocks only and
-/// leaves the n % 8 tail to the scalar loop in kern.cc, because the
-/// avx2 translation unit is built with -mfma and GCC contracts plain
-/// scalar code there too.
-void AdamUpdate(float* w, float* m, float* v, const float* g, int n,
-                float lr, float b1, float b2, float bc1, float bc2,
-                float eps);
-
 // ---------------------------------------------------------------------------
 // Int8 inference kernels (tpr::quant). Integer accumulation is exact, so
 // — unlike the fp32 GEMMs above — the scalar and avx2 GemmInt8Wide

@@ -13,17 +13,14 @@ namespace tpr::kern::avx2 {
 void GemmAcc(const float* a, const float* b, float* out, int m, int k, int n);
 void GemmInt8Wide(const int8_t* a, const int16_t* btw, int32_t* out, int m,
                   int k, int n);
-// The bitwise legs (DequantBias, DequantAcc, QuantizeRow, AdamUpdate)
-// cover whole 8-lane blocks only: columns [0, n & ~7) of each row. The
-// dispatcher runs the rest in kern.cc's scalar loop.
+// The bitwise legs (DequantBias, DequantAcc, QuantizeRow) cover whole
+// 8-lane blocks only: columns [0, n & ~7) of each row. The dispatcher
+// runs the rest in kern.cc's scalar loop.
 void DequantBias(const int32_t* acc, float a_scale, const float* b_scales,
                  const float* bias, float* y, int m, int n);
 void DequantAcc(const int32_t* acc, float a_scale, const float* b_scales,
                 float* y, int m, int n);
 void QuantizeRow(const float* x, float inv_scale, int8_t* q, int n);
-void AdamUpdate(float* w, float* m, float* v, const float* g, int n,
-                float lr, float b1, float b2, float bc1, float bc2,
-                float eps);
 void GemmTransAAcc(const float* a, const float* b, float* out, int k, int m,
                    int n);
 void GemmTransBAcc(const float* a, const float* b, float* out, int m, int k,

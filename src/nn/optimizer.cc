@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 
-#include "kern/kern.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -75,10 +74,16 @@ void Adam::Step() {
   chunks_.ForEach([&](size_t k, size_t begin, size_t end) {
     const Tensor& g = params_[k].grad();
     if (g.empty()) return;
-    kern::AdamUpdate(params_[k].mutable_value().data() + begin,
-                     m_[k].data() + begin, v_[k].data() + begin,
-                     g.data() + begin, static_cast<int>(end - begin), lr_,
-                     beta1_, beta2_, bc1, bc2, eps_);
+    Tensor& w = params_[k].mutable_value();
+    Tensor& m = m_[k];
+    Tensor& v = v_[k];
+    for (size_t i = begin; i < end; ++i) {
+      m[i] = beta1_ * m[i] + (1.0f - beta1_) * g[i];
+      v[i] = beta2_ * v[i] + (1.0f - beta2_) * g[i] * g[i];
+      const float mhat = m[i] / bc1;
+      const float vhat = v[i] / bc2;
+      w[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+    }
   });
   if (observe) {
     obs::GetCounter("nn.adam_steps").Add();

@@ -59,10 +59,9 @@ struct AdamState {
 };
 
 /// Adam (Kingma & Ba). The paper trains with lr = 3e-4. Step() updates
-/// the parameters in ParamChunks on the default pool through
-/// kern::AdamUpdate, whose scalar and avx2 legs agree bitwise, so the
-/// update keeps its bits at any thread count and under either kernel.
-/// A parameter whose gradient is empty is left untouched.
+/// the parameters in ParamChunks on the default pool; the update is
+/// elementwise, so it keeps its bits at any thread count. A parameter
+/// whose gradient is empty is left untouched.
 class Adam : public Optimizer {
  public:
   Adam(std::vector<Var> params, float lr, float beta1 = 0.9f,

@@ -187,53 +187,6 @@ TEST(ElementwiseParityTest, AccumulatorsMatchScalar) {
   }
 }
 
-// AdamUpdate's avx2 leg must give the scalar bits, including in the
-// n % 8 tail (which the scalar loop runs) and on the awkward values:
-// zero and negative-zero gradients, subnormal-adjacent and large ones.
-TEST(ElementwiseParityTest, AdamUpdateAvx2MatchesScalarBitwise) {
-  if (!CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this CPU";
-  Rng rng(91);
-  for (int n : {1, 7, 8, 9, 31, 8195}) {
-    std::vector<float> w(n), m(n), v(n), g(n);
-    for (int i = 0; i < n; ++i) {
-      w[i] = static_cast<float>(rng.Gaussian());
-      m[i] = static_cast<float>(rng.Gaussian() * 1e-2);
-      v[i] = static_cast<float>(rng.Uniform() * 1e-3);
-      switch (i % 6) {
-        case 0: g[i] = 0.0f; break;
-        case 1: g[i] = -0.0f; break;
-        case 2: g[i] = static_cast<float>(rng.Gaussian() * 1e-38); break;
-        case 3: g[i] = static_cast<float>(rng.Gaussian() * 1e18); break;
-        default: g[i] = static_cast<float>(rng.Gaussian()); break;
-      }
-    }
-    m[0] = 0.0f;
-    v[0] = 0.0f;  // a fresh moment: the update divides 0 by eps
-    auto run = [&](Kernel k) {
-      ScopedKernel pin(k);
-      std::vector<float> ww = w, mm = m, vv = v;
-      // Two steps, so the second starts from the first's moments.
-      for (int t = 1; t <= 2; ++t) {
-        const float bc1 = 1.0f - std::pow(0.9f, static_cast<float>(t));
-        const float bc2 = 1.0f - std::pow(0.999f, static_cast<float>(t));
-        AdamUpdate(ww.data(), mm.data(), vv.data(), g.data(), n, 3e-4f, 0.9f,
-                   0.999f, bc1, bc2, 1e-8f);
-      }
-      return std::vector<std::vector<float>>{ww, mm, vv};
-    };
-    const auto scalar = run(Kernel::kScalar);
-    const auto avx2 = run(Kernel::kAvx2);
-    for (size_t a = 0; a < scalar.size(); ++a) {
-      for (int i = 0; i < n; ++i) {
-        uint32_t sb, vb;
-        std::memcpy(&sb, &scalar[a][i], sizeof sb);
-        std::memcpy(&vb, &avx2[a][i], sizeof vb);
-        ASSERT_EQ(sb, vb) << "n=" << n << " array " << a << " element " << i;
-      }
-    }
-  }
-}
-
 TEST(DispatchTest, ResolveKernelSpec) {
   EXPECT_EQ(ResolveKernelSpec("scalar"), Kernel::kScalar);
   const Kernel auto_kernel =

@@ -366,10 +366,10 @@ TEST(GradAccumulatorTest, PersistentSlotsReduceLikeAFreshAccumulator) {
   SetDefaultThreads(ConfiguredThreads());  // restore for other tests
 }
 
-// Adam::Step runs in ParamChunks on the default pool through
-// kern::AdamUpdate. The update must keep its bits at any thread count,
-// equal the serial per-element loop, and skip a parameter whose gradient
-// is empty (value and moments untouched).
+// Adam::Step runs in ParamChunks on the default pool. The update must
+// keep its bits at any thread count, equal the serial per-element loop,
+// and skip a parameter whose gradient is empty (value and moments
+// untouched).
 TEST(AdamChunkTest, StepIsBitwiseIdenticalAcrossThreadCounts) {
   auto run = [](int threads) {
     SetDefaultThreads(threads);
@@ -515,16 +515,17 @@ TEST_F(ParDeterminismTest, TrainEpochIsBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-// The whole pipeline with the learned curriculum: experts train one after
-// another with the full pool for their shards, then the staged schedule
-// runs. Both must come out the same at 1 and 4 threads.
+// The whole pipeline with the learned curriculum: the experts, then the
+// staged schedule. At 4 threads, 2 experts train one after another with
+// the pool for their shards and 4 experts train in a ParallelFor; both
+// must come out the same as at 1 thread.
 TEST_F(ParDeterminismTest, LearnedCurriculumTrainIsBitwiseIdentical) {
-  auto train = [&](int threads) {
+  auto train = [&](int threads, int num_meta_sets) {
     SetDefaultThreads(threads);
     core::WsccalConfig cfg;
     cfg.wsc = TinyWsc();
     cfg.curriculum.strategy = core::CurriculumStrategy::kLearned;
-    cfg.curriculum.num_meta_sets = 2;
+    cfg.curriculum.num_meta_sets = num_meta_sets;
     cfg.curriculum.expert_epochs = 1;
     cfg.stage_epochs = 1;
     cfg.final_epochs = 1;
@@ -539,16 +540,19 @@ TEST_F(ParDeterminismTest, LearnedCurriculumTrainIsBitwiseIdentical) {
     return std::make_pair((*pipeline)->final_loss(), flat);
   };
 
-  const auto [loss1, params1] = train(1);
-  const auto [loss4, params4] = train(4);
-  SetDefaultThreads(ConfiguredThreads());  // restore for other tests
+  for (const int num_meta_sets : {2, 4}) {
+    SCOPED_TRACE(num_meta_sets);
+    const auto [loss1, params1] = train(1, num_meta_sets);
+    const auto [loss4, params4] = train(4, num_meta_sets);
+    SetDefaultThreads(ConfiguredThreads());  // restore for other tests
 
-  EXPECT_EQ(loss1, loss4);  // exact, not approximate
-  ASSERT_FALSE(params1.empty());
-  ASSERT_EQ(params1.size(), params4.size());
-  for (size_t i = 0; i < params1.size(); ++i) {
-    ASSERT_EQ(FloatBits(params1[i]), FloatBits(params4[i]))
-        << "parameter element " << i;
+    EXPECT_EQ(loss1, loss4);  // exact, not approximate
+    ASSERT_FALSE(params1.empty());
+    ASSERT_EQ(params1.size(), params4.size());
+    for (size_t i = 0; i < params1.size(); ++i) {
+      ASSERT_EQ(FloatBits(params1[i]), FloatBits(params4[i]))
+          << "parameter element " << i;
+    }
   }
 }
 
