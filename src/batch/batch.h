@@ -15,9 +15,10 @@
 // Batch formation is therefore a pure function of the Arrive/Tick call
 // sequence: the same arrival trace produces the same batch boundaries
 // and the same coalescing decisions at any worker count, on any run.
-// (The service's idle flush — draining a partial batch when the queue
-// goes quiet — is wall-clock triggered and changes only WHICH batch a
-// request rides in, never its outcome; see serve/service.h.)
+// (The service's idle flush — draining a partial batch as soon as no
+// worker of the shard is encoding — depends on when workers finish, so
+// it changes only WHICH batch a request rides in, never its outcome;
+// see serve/service.h.)
 //
 // Coalescing. When `coalesce` is on, requests for the same path in the
 // same time bucket share one group: the group is encoded ONCE at the
@@ -51,7 +52,7 @@ struct BatchConfig {
   /// under a duplicate-heavy workload a batch holds up to ~max_ticks
   /// requests coalesced into at most max_batch groups. Sparse traffic
   /// never waits this long — the service's idle drain flushes a partial
-  /// batch as soon as the queue goes quiet.
+  /// batch as soon as no worker of the shard is encoding.
   int max_ticks = 128;
   /// Coalesce duplicate (path, time-bucket) keys into one encode.
   bool coalesce = true;
@@ -112,8 +113,8 @@ class BatchFormer {
   /// the oldest pending arrival has aged out.
   std::optional<FormedBatch> Tick();
 
-  /// Unconditionally flushes whatever is pending (service idle drain and
-  /// shutdown). Returns nullopt when nothing is pending.
+  /// Unconditionally flushes whatever is pending (the service's idle
+  /// drain). Returns nullopt when nothing is pending.
   std::optional<FormedBatch> FlushAll();
 
   bool has_pending() const { return !pending_.empty(); }

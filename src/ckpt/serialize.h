@@ -86,7 +86,9 @@ class Reader {
     if (n > remaining()) {
       return Status::OutOfRange("checkpoint stream truncated");
     }
-    std::memcpy(out, bytes_.data() + pos_, n);
+    // An empty tensor's data() may be null, and memcpy from or to null
+    // is undefined even for zero bytes.
+    if (n > 0) std::memcpy(out, bytes_.data() + pos_, n);
     pos_ += n;
     return Status::OK();
   }

@@ -502,7 +502,7 @@ StatusOr<std::future<ServeResult>> InferenceService::Submit(
                               deadline_ms));
   }
   std::future<ServeResult> future = req.promise.get_future();
-  bool flushed_batch = false;
+  bool wake_worker = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
     if (!started_ || stopping_) {
@@ -533,6 +533,7 @@ StatusOr<std::future<ServeResult>> InferenceService::Submit(
     }
     AdmitToGeneration(req);
     const uint64_t ticket = req.ticket;
+    const bool was_pending = former_.has_pending();
     auto flushed = former_.Arrive(ticket, req.query.path,
                                   req.query.depart_time_s, req.gen->generation);
     waiting_.emplace(ticket, std::move(req));
@@ -547,12 +548,16 @@ StatusOr<std::future<ServeResult>> InferenceService::Submit(
         .Set(static_cast<double>(waiting_.size()));
     if (flushed.has_value()) {
       ready_.push_back(std::move(*flushed));
-      flushed_batch = true;
+      wake_worker = true;
+    } else {
+      // The first pending arrival on a shard where no worker is encoding
+      // wakes one to drain it. Later arrivals join the same partial batch
+      // and need no signal: either that wake is still on its way, or a
+      // worker is encoding and re-checks when its batch finishes.
+      wake_worker = !was_pending && busy_workers_ == 0;
     }
   }
-  // Wake a worker only when a batch actually flushed — idle workers
-  // otherwise drain partial batches prematurely.
-  if (flushed_batch) not_empty_.notify_one();
+  if (wake_worker) not_empty_.notify_one();
   return future;
 }
 
@@ -569,25 +574,24 @@ ServeResult InferenceService::SubmitAndWait(PathQuery query,
 
 void InferenceService::WorkerLoop() {
   fault::ScopedShard shard_scope(config_.shard);
+  // A finished batch leaves busy_workers_ under the next iteration's
+  // lock, after its requests were freed outside it.
+  bool encoded = false;
   for (;;) {
     batch::FormedBatch batch;
     std::vector<std::vector<Request>> members;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      while (ready_.empty()) {
-        if (stopping_) return;  // ready_ cleared by Shutdown
-        // Submit only signals when a batch flushes; wake periodically so
-        // a partial batch with no follow-up admissions to age it out is
-        // drained instead of stranded (idle flush).
-        const bool signalled = not_empty_.wait_for(
-            lock, std::chrono::milliseconds(1),
-            [this] { return stopping_ || !ready_.empty(); });
-        if (!signalled) {
-          if (auto flushed = former_.FlushAll()) {
-            ready_.push_back(std::move(*flushed));
-          }
-        }
-      }
+      if (encoded) --busy_workers_;
+      // A partial batch waits in the former only while some worker is
+      // encoding; once none is, this worker takes everything pending.
+      not_empty_.wait(lock, [this] {
+        return stopping_ || !ready_.empty() ||
+               (busy_workers_ == 0 && former_.has_pending());
+      });
+      if (stopping_) return;  // ready_ cleared by Shutdown
+      if (ready_.empty()) ready_.push_back(*former_.FlushAll());
+      ++busy_workers_;
       batch = std::move(ready_.front());
       ready_.pop_front();
       // Extract the members atomically with the pop: a request is either
@@ -610,6 +614,7 @@ void InferenceService::WorkerLoop() {
     }
     not_full_.notify_all();
     ProcessBatch(batch, members);
+    encoded = true;
   }
 }
 

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -385,7 +387,8 @@ TEST_F(BatchTest, EncodeValueBatchIsInvariantToBatchComposition) {
   // Under the ACTIVE kernel (scalar or avx2), an item's embedding must
   // not depend on what else rode in its batch: every packed row runs
   // lane-uniform, row-independent math. The batched service relies on
-  // this — idle flushes change batch composition, never outcomes.
+  // this — idle flushes, timed by when workers finish, change batch
+  // composition, never outcomes.
   TemporalPathEncoder encoder(features(), TinyEncoder());
   const std::vector<core::PathTimeItem> items = Items(6);
   const auto together = encoder.EncodeValueBatch(items);
@@ -646,6 +649,164 @@ TEST_F(BatchTest, ShutdownResolvesEveryWaitingBatchedRequest) {
 }
 
 // ---------------------------------------------------------------------------
+// The idle flush: a partial batch waits in the former only while some
+// worker of the shard is encoding.
+// ---------------------------------------------------------------------------
+
+/// Waits up to 10 s for the service to start `n` batches (ProcessBatch
+/// counts a batch before its injected slow-worker sleep).
+bool BatchesStarted(uint64_t n) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (obs::GetCounter("serve.batches").value() < n) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+TEST_F(BatchTest, IdleShardTakesALoneRequestAtOnce) {
+  // Sequential callers never fill a batch and never age one out, so on
+  // an idle shard every request is a lone partial batch. It must cost no
+  // more than the per-request mode, where each arrival flushes by size.
+  auto median_sojourn_ms = [this](int batch_max) {
+    serve::ServiceConfig cfg = BatchedService();
+    cfg.num_workers = 1;
+    cfg.batch_max = batch_max;
+    serve::InferenceService svc(features(), TinyEncoder(), cfg);
+    svc.InstallModel(
+        std::make_shared<TemporalPathEncoder>(features(), TinyEncoder()), 1);
+    EXPECT_TRUE(svc.Start().ok());
+    std::vector<double> sojourn_ms;
+    for (int i = 0; i < 64; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      serve::ServeResult r =
+          svc.SubmitAndWait(Query(i, static_cast<uint64_t>(i)));
+      sojourn_ms.push_back(std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+      EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+    }
+    svc.Shutdown();
+    auto mid = sojourn_ms.begin() + sojourn_ms.size() / 2;
+    std::nth_element(sojourn_ms.begin(), mid, sojourn_ms.end());
+    return *mid;
+  };
+  const double per_request = median_sojourn_ms(1);
+  const double batched = median_sojourn_ms(16);
+  EXPECT_LT(batched, per_request + 0.5)
+      << "a lone request waited on an idle shard: median sojourn "
+      << batched << " ms at batch_max 16 vs " << per_request
+      << " ms at batch_max 1";
+}
+
+TEST_F(BatchTest, ArrivalsBatchBehindABusyWorker) {
+  // Idle workers do not take a partial batch while another worker of
+  // the shard is encoding: duplicates that trickle in during a running
+  // batch wait and coalesce into one batch instead of one batch each.
+  serve::ServiceConfig cfg = BatchedService();
+  cfg.num_workers = 4;
+  cfg.batch_max = 16;
+  cfg.batch_ticks = 64;  // no age flush within this trace
+  serve::InferenceService svc(features(), TinyEncoder(), cfg);
+  svc.InstallModel(
+      std::make_shared<TemporalPathEncoder>(features(), TinyEncoder()), 1);
+  ASSERT_TRUE(svc.Start().ok());
+  Install("slow-worker:p=1,delay_ms=100");
+
+  auto first = svc.Submit(Query(0, 700));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(BatchesStarted(1));
+  // 1 ms apart, so an idle worker would have time to wake between them.
+  std::vector<std::future<serve::ServeResult>> duplicates;
+  for (uint64_t i = 0; i < 8; ++i) {
+    auto submitted = svc.Submit(Query(1, 800 + i, /*time_shift=*/3600));
+    ASSERT_TRUE(submitted.ok());
+    duplicates.push_back(std::move(*submitted));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(first->get().status.ok());
+  std::vector<float> embedding;
+  for (auto& f : duplicates) {
+    serve::ServeResult r = f.get();
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.rung, serve::Rung::kFull);
+    if (embedding.empty()) embedding = r.embedding;
+    EXPECT_EQ(r.embedding, embedding);
+  }
+  EXPECT_EQ(obs::GetCounter("serve.batches").value(), 2u);
+  EXPECT_EQ(obs::GetCounter("serve.batch_coalesced").value(), 7u);
+  svc.Shutdown();
+}
+
+TEST_F(BatchTest, ShutdownWhileAWorkerIsBusyFailsOnlyTheParkedRequests) {
+  // One worker encodes (held by the injected delay) while the other
+  // idles and requests park in the former behind it. Shutdown fails the
+  // parked requests, lets the running batch finish, and returns.
+  serve::ServiceConfig cfg = BatchedService();
+  cfg.num_workers = 2;
+  cfg.batch_max = 16;
+  cfg.batch_ticks = 64;
+  serve::InferenceService svc(features(), TinyEncoder(), cfg);
+  svc.InstallModel(
+      std::make_shared<TemporalPathEncoder>(features(), TinyEncoder()), 1);
+  ASSERT_TRUE(svc.Start().ok());
+  Install("slow-worker:p=1,delay_ms=50");
+
+  auto running = svc.Submit(Query(0, 900));
+  ASSERT_TRUE(running.ok());
+  ASSERT_TRUE(BatchesStarted(1));
+  std::vector<std::future<serve::ServeResult>> parked;
+  for (uint64_t i = 0; i < 5; ++i) {
+    auto submitted = svc.Submit(Query(static_cast<int>(i) + 1, 901 + i));
+    ASSERT_TRUE(submitted.ok());
+    parked.push_back(std::move(*submitted));
+  }
+  svc.Shutdown();
+  serve::ServeResult r = running->get();
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.rung, serve::Rung::kFull);
+  for (auto& f : parked) {
+    EXPECT_EQ(f.get().status.code(), StatusCode::kUnavailable);
+  }
+  EXPECT_EQ(obs::GetCounter("serve.batches").value(), 1u);
+}
+
+TEST_F(BatchTest, NoRequestIsStrandedAcrossIdleGaps) {
+  // Bursts of every size, some of them duplicate-heavy, separated by
+  // idle gaps: each burst leaves a partial batch behind it, and with no
+  // timer in the worker loop a lost wake-up would strand it here.
+  serve::ServiceConfig cfg = BatchedService();
+  cfg.num_workers = 4;
+  cfg.batch_max = 16;
+  cfg.batch_ticks = 128;
+  serve::InferenceService svc(features(), TinyEncoder(), cfg);
+  svc.InstallModel(
+      std::make_shared<TemporalPathEncoder>(features(), TinyEncoder()), 1);
+  ASSERT_TRUE(svc.Start().ok());
+
+  std::vector<std::future<serve::ServeResult>> futures;
+  uint64_t id = 0;
+  for (int burst = 0; burst < 24; ++burst) {
+    const int size = 1 + (burst * 7) % 20;
+    for (int i = 0; i < size; ++i, ++id) {
+      const int sample = burst % 3 == 0 ? burst : static_cast<int>(id);
+      auto submitted = svc.Submit(Query(sample, id));
+      ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+      futures.push_back(std::move(*submitted));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1 + burst % 4));
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(10)),
+              std::future_status::ready)
+        << "request " << i << " stranded in the former";
+    EXPECT_TRUE(futures[i].get().status.ok());
+  }
+  svc.Shutdown();
+}
+
+// ---------------------------------------------------------------------------
 // The batched determinism soak: same trace + plan => identical
 // per-request outcomes across runs and worker counts — batch
 // boundaries, coalescing, and grouped rung-retry ladders included.
@@ -743,7 +904,7 @@ TEST_F(BatchSoakTest, OutcomesAreIdenticalAcrossRunsAndWorkerCounts) {
 
   // Same trace, same plan, same worker count: bitwise identical
   // per-request outcomes even though batch COMPOSITION (idle flushes)
-  // is wall-clock dependent.
+  // depends on when workers finish.
   std::vector<Outcome> run_b = RunSoak(/*num_workers=*/4, n);
   ASSERT_EQ(run_a.size(), run_b.size());
   for (size_t i = 0; i < run_a.size(); ++i) {
