@@ -545,9 +545,9 @@ int main(int argc, char** argv) {
   // ---- Batched pipeline under faults ----
   // The faulted-phase plan plus injected batch-flush drops. Batch
   // COMPOSITION depends on when workers finish (a partial batch is taken
-  // the moment no worker is encoding), but every verdict is keyed by the
-  // request or its group hash, so the per-request rung counters below
-  // are deterministic and gated.
+  // the moment no worker is encoding a batch of several), but every
+  // verdict is keyed by the request or its group hash, so the
+  // per-request rung counters below are deterministic and gated.
   const std::string batched_spec =
       env_spec != nullptr ? spec : spec + ";batch-flush:p=0.05";
   std::fprintf(stderr,

@@ -16,9 +16,9 @@
 // sequence: the same arrival trace produces the same batch boundaries
 // and the same coalescing decisions at any worker count, on any run.
 // (The service's idle flush — draining a partial batch as soon as no
-// worker of the shard is encoding — depends on when workers finish, so
-// it changes only WHICH batch a request rides in, never its outcome;
-// see serve/service.h.)
+// worker of the shard is encoding a batch of several — depends on when
+// workers finish, so it changes only WHICH batch a request rides in,
+// never its outcome; see serve/service.h.)
 //
 // Coalescing. When `coalesce` is on, requests for the same path in the
 // same time bucket share one group: the group is encoded ONCE at the
@@ -52,7 +52,8 @@ struct BatchConfig {
   /// under a duplicate-heavy workload a batch holds up to ~max_ticks
   /// requests coalesced into at most max_batch groups. Sparse traffic
   /// never waits this long — the service's idle drain flushes a partial
-  /// batch as soon as no worker of the shard is encoding.
+  /// batch as soon as no worker of the shard is encoding a batch of
+  /// several.
   int max_ticks = 128;
   /// Coalesce duplicate (path, time-bucket) keys into one encode.
   bool coalesce = true;

@@ -551,10 +551,10 @@ StatusOr<std::future<ServeResult>> InferenceService::Submit(
       wake_worker = true;
     } else {
       // The first pending arrival on a shard where no worker is encoding
-      // wakes one to drain it. Later arrivals join the same partial batch
-      // and need no signal: either that wake is still on its way, or a
-      // worker is encoding and re-checks when its batch finishes.
-      wake_worker = !was_pending && busy_workers_ == 0;
+      // a batch of several wakes one to drain it. Later arrivals join the
+      // same partial batch and need no signal: either that wake is still
+      // on its way, or a worker re-checks when its batch finishes.
+      wake_worker = !was_pending && batching_workers_ == 0;
     }
   }
   if (wake_worker) not_empty_.notify_one();
@@ -574,24 +574,26 @@ ServeResult InferenceService::SubmitAndWait(PathQuery query,
 
 void InferenceService::WorkerLoop() {
   fault::ScopedShard shard_scope(config_.shard);
-  // A finished batch leaves busy_workers_ under the next iteration's
-  // lock, after its requests were freed outside it.
-  bool encoded = false;
+  // A finished batch of several leaves batching_workers_ under the next
+  // iteration's lock, after its requests were freed outside it.
+  bool batching = false;
   for (;;) {
     batch::FormedBatch batch;
     std::vector<std::vector<Request>> members;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (encoded) --busy_workers_;
+      if (batching) --batching_workers_;
       // A partial batch waits in the former only while some worker is
-      // encoding; once none is, this worker takes everything pending.
+      // encoding a batch of several requests: arrivals are outpacing the
+      // workers, so the next ones batch (and coalesce) behind it. Behind
+      // lone requests the shard is keeping up, and this worker takes
+      // everything pending at once.
       not_empty_.wait(lock, [this] {
         return stopping_ || !ready_.empty() ||
-               (busy_workers_ == 0 && former_.has_pending());
+               (batching_workers_ == 0 && former_.has_pending());
       });
       if (stopping_) return;  // ready_ cleared by Shutdown
       if (ready_.empty()) ready_.push_back(*former_.FlushAll());
-      ++busy_workers_;
       batch = std::move(ready_.front());
       ready_.pop_front();
       // Extract the members atomically with the pop: a request is either
@@ -609,12 +611,13 @@ void InferenceService::WorkerLoop() {
         }
         members.push_back(std::move(reqs));
       }
+      batching = batch.groups.size() > 1 || members.front().size() > 1;
+      if (batching) ++batching_workers_;
       metrics_.gauge("serve.queue_depth")
           .Set(static_cast<double>(waiting_.size()));
     }
     not_full_.notify_all();
     ProcessBatch(batch, members);
-    encoded = true;
   }
 }
 

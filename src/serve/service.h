@@ -39,10 +39,11 @@
 //
 // Micro-batching. There is one pipeline: admissions feed the former
 // (flush by size or logical-ticks age, or at once when no worker of the
-// shard is encoding) and workers run each flushed batch through ONE
-// rung-0 forward per model generation: the packed, tape-free lockstep
-// forward of core/inference_plan.h, whose rows are bitwise the
-// single-item encodes, so batching never changes an embedding.
+// shard is encoding a batch of several) and workers run each flushed
+// batch through ONE rung-0 forward per model generation: the packed,
+// tape-free lockstep forward of core/inference_plan.h, whose rows are
+// bitwise the single-item encodes, so batching never changes an
+// embedding.
 // batch_max = 1 (the default) is the per-request mode: every request is
 // its own group, encoded at its exact departure time and flushed on
 // arrival. A larger batch_max batches up to that many groups per
@@ -440,11 +441,12 @@ class InferenceService {
 
   /// Workers pop formed batches, extract their member requests from
   /// waiting_, and run each batch through ONE packed encoder forward per
-  /// model generation. When no worker is encoding, a worker takes the
-  /// former's partial batch at once (idle flush), so a partial batch
-  /// waits only behind a running one. Which worker finishes first is a
-  /// wall-clock race that changes which batch a request rides in but
-  /// never its outcome (verdicts are keyed by fault key).
+  /// model generation. Unless some worker is encoding a batch of
+  /// several requests, a worker takes the former's partial batch at once
+  /// (idle flush): behind lone requests the shard keeps up, behind a
+  /// batch of several the next arrivals batch up. Which worker finishes
+  /// first is a wall-clock race that changes which batch a request rides
+  /// in but never its outcome (verdicts are keyed by fault key).
   void WorkerLoop();
   void ProcessBatch(batch::FormedBatch& batch,
                     std::vector<std::vector<Request>>& members);
@@ -493,7 +495,7 @@ class InferenceService {
   std::shared_ptr<GenState> canary_;  // in-flight canary; usually null
   std::deque<CanaryResolution> resolutions_;
   uint64_t next_ticket_ = 0;
-  int busy_workers_ = 0;  // workers between taking a batch and finishing it
+  int batching_workers_ = 0;  // workers encoding a batch of several requests
   bool started_ = false;
   bool stopping_ = false;
   std::vector<std::thread> workers_;

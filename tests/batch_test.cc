@@ -650,7 +650,7 @@ TEST_F(BatchTest, ShutdownResolvesEveryWaitingBatchedRequest) {
 
 // ---------------------------------------------------------------------------
 // The idle flush: a partial batch waits in the former only while some
-// worker of the shard is encoding.
+// worker of the shard is encoding a batch of several requests.
 // ---------------------------------------------------------------------------
 
 /// Waits up to 10 s for the service to start `n` batches (ProcessBatch
@@ -700,49 +700,30 @@ TEST_F(BatchTest, IdleShardTakesALoneRequestAtOnce) {
       << " ms at batch_max 1";
 }
 
-TEST_F(BatchTest, ArrivalsBatchBehindABusyWorker) {
-  // Idle workers do not take a partial batch while another worker of
-  // the shard is encoding: duplicates that trickle in during a running
-  // batch wait and coalesce into one batch instead of one batch each.
-  serve::ServiceConfig cfg = BatchedService();
-  cfg.num_workers = 4;
-  cfg.batch_max = 16;
-  cfg.batch_ticks = 64;  // no age flush within this trace
-  serve::InferenceService svc(features(), TinyEncoder(), cfg);
-  svc.InstallModel(
-      std::make_shared<TemporalPathEncoder>(features(), TinyEncoder()), 1);
-  ASSERT_TRUE(svc.Start().ok());
-  Install("slow-worker:p=1,delay_ms=100");
-
-  auto first = svc.Submit(Query(0, 700));
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(BatchesStarted(1));
-  // 1 ms apart, so an idle worker would have time to wake between them.
-  std::vector<std::future<serve::ServeResult>> duplicates;
-  for (uint64_t i = 0; i < 8; ++i) {
-    auto submitted = svc.Submit(Query(1, 800 + i, /*time_shift=*/3600));
-    ASSERT_TRUE(submitted.ok());
-    duplicates.push_back(std::move(*submitted));
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+/// Brings a two-worker shard, every batch held by an injected
+/// slow-worker delay, to one worker encoding a batch of two requests
+/// while the other idles. The first two queries go out alone and hold
+/// both workers; the last two park behind them and leave as one batch
+/// when a worker frees up.
+void HoldABatchOfTwo(serve::InferenceService& svc,
+                     std::vector<serve::PathQuery> queries,
+                     std::vector<std::future<serve::ServeResult>>* futures) {
+  ASSERT_EQ(queries.size(), 4u);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto submitted = svc.Submit(std::move(queries[i]));
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    futures->push_back(std::move(*submitted));
+    if (i < 2) {
+      ASSERT_TRUE(BatchesStarted(i + 1));
+    }
   }
-  ASSERT_TRUE(first->get().status.ok());
-  std::vector<float> embedding;
-  for (auto& f : duplicates) {
-    serve::ServeResult r = f.get();
-    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-    EXPECT_EQ(r.rung, serve::Rung::kFull);
-    if (embedding.empty()) embedding = r.embedding;
-    EXPECT_EQ(r.embedding, embedding);
-  }
-  EXPECT_EQ(obs::GetCounter("serve.batches").value(), 2u);
-  EXPECT_EQ(obs::GetCounter("serve.batch_coalesced").value(), 7u);
-  svc.Shutdown();
+  ASSERT_TRUE(BatchesStarted(3));
 }
 
-TEST_F(BatchTest, ShutdownWhileAWorkerIsBusyFailsOnlyTheParkedRequests) {
-  // One worker encodes (held by the injected delay) while the other
-  // idles and requests park in the former behind it. Shutdown fails the
-  // parked requests, lets the running batch finish, and returns.
+TEST_F(BatchTest, ALoneRequestDoesNotWaitBehindAnother) {
+  // A batch of one shows the shard keeping up with its arrivals: a
+  // request that lands while one worker encodes a lone request is taken
+  // by an idle worker at once, not held until that batch finishes.
   serve::ServiceConfig cfg = BatchedService();
   cfg.num_workers = 2;
   cfg.batch_max = 16;
@@ -751,25 +732,98 @@ TEST_F(BatchTest, ShutdownWhileAWorkerIsBusyFailsOnlyTheParkedRequests) {
   svc.InstallModel(
       std::make_shared<TemporalPathEncoder>(features(), TinyEncoder()), 1);
   ASSERT_TRUE(svc.Start().ok());
-  Install("slow-worker:p=1,delay_ms=50");
+  Install("slow-worker:p=1,delay_ms=200");
 
-  auto running = svc.Submit(Query(0, 900));
-  ASSERT_TRUE(running.ok());
+  auto first = svc.Submit(Query(0, 950));
+  ASSERT_TRUE(first.ok());
   ASSERT_TRUE(BatchesStarted(1));
+  auto second = svc.Submit(Query(1, 951));
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(BatchesStarted(2));
+  EXPECT_EQ(first->wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "the second request waited for the first one's batch";
+  EXPECT_TRUE(first->get().status.ok());
+  EXPECT_TRUE(second->get().status.ok());
+  svc.Shutdown();
+}
+
+TEST_F(BatchTest, ArrivalsBatchBehindABatchingWorker) {
+  // A batch of several shows arrivals outpacing the workers: the idle
+  // worker does not take a partial batch while another encodes one, so
+  // duplicates that trickle in meanwhile coalesce into one batch instead
+  // of one batch each.
+  serve::ServiceConfig cfg = BatchedService();
+  cfg.num_workers = 2;
+  cfg.batch_max = 16;
+  cfg.batch_ticks = 64;  // no age flush within this trace
+  serve::InferenceService svc(features(), TinyEncoder(), cfg);
+  svc.InstallModel(
+      std::make_shared<TemporalPathEncoder>(features(), TinyEncoder()), 1);
+  ASSERT_TRUE(svc.Start().ok());
+  Install("slow-worker:p=1,delay_ms=100");
+
+  std::vector<std::future<serve::ServeResult>> held;
+  ASSERT_NO_FATAL_FAILURE(HoldABatchOfTwo(
+      svc, {Query(0, 700), Query(1, 701), Query(2, 702), Query(3, 703)},
+      &held));
+  // 1 ms apart, so the idle worker would have time to wake between them.
+  std::vector<std::future<serve::ServeResult>> duplicates;
+  for (uint64_t i = 0; i < 8; ++i) {
+    auto submitted = svc.Submit(Query(4, 800 + i, /*time_shift=*/3600));
+    ASSERT_TRUE(submitted.ok());
+    duplicates.push_back(std::move(*submitted));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (auto& f : held) ASSERT_TRUE(f.get().status.ok());
+  std::vector<float> embedding;
+  for (auto& f : duplicates) {
+    serve::ServeResult r = f.get();
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.rung, serve::Rung::kFull);
+    if (embedding.empty()) embedding = r.embedding;
+    EXPECT_EQ(r.embedding, embedding);
+  }
+  EXPECT_EQ(obs::GetCounter("serve.batches").value(), 4u);
+  EXPECT_EQ(obs::GetCounter("serve.batch_coalesced").value(), 7u);
+  svc.Shutdown();
+}
+
+TEST_F(BatchTest, ShutdownWhileAWorkerIsBusyFailsOnlyTheParkedRequests) {
+  // One worker encodes a batch of two (held by the injected delay) while
+  // the other idles and requests park in the former behind it. Shutdown
+  // fails the parked requests, lets the running batches finish, and
+  // returns.
+  serve::ServiceConfig cfg = BatchedService();
+  cfg.num_workers = 2;
+  cfg.batch_max = 16;
+  cfg.batch_ticks = 64;
+  serve::InferenceService svc(features(), TinyEncoder(), cfg);
+  svc.InstallModel(
+      std::make_shared<TemporalPathEncoder>(features(), TinyEncoder()), 1);
+  ASSERT_TRUE(svc.Start().ok());
+  Install("slow-worker:p=1,delay_ms=100");
+
+  std::vector<std::future<serve::ServeResult>> held;
+  ASSERT_NO_FATAL_FAILURE(HoldABatchOfTwo(
+      svc, {Query(0, 900), Query(1, 901), Query(2, 902), Query(3, 903)},
+      &held));
   std::vector<std::future<serve::ServeResult>> parked;
   for (uint64_t i = 0; i < 5; ++i) {
-    auto submitted = svc.Submit(Query(static_cast<int>(i) + 1, 901 + i));
+    auto submitted = svc.Submit(Query(static_cast<int>(i) + 4, 904 + i));
     ASSERT_TRUE(submitted.ok());
     parked.push_back(std::move(*submitted));
   }
   svc.Shutdown();
-  serve::ServeResult r = running->get();
-  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-  EXPECT_EQ(r.rung, serve::Rung::kFull);
+  for (auto& f : held) {
+    serve::ServeResult r = f.get();
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.rung, serve::Rung::kFull);
+  }
   for (auto& f : parked) {
     EXPECT_EQ(f.get().status.code(), StatusCode::kUnavailable);
   }
-  EXPECT_EQ(obs::GetCounter("serve.batches").value(), 1u);
+  EXPECT_EQ(obs::GetCounter("serve.batches").value(), 3u);
 }
 
 TEST_F(BatchTest, NoRequestIsStrandedAcrossIdleGaps) {
