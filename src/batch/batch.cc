@@ -1,9 +1,8 @@
 #include "batch/batch.h"
 
-#include <climits>
-#include <cstdlib>
 #include <string>
 
+#include "util/env.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -14,22 +13,11 @@ namespace {
 // system (fault verdicts, canary routing, cache keys).
 constexpr uint64_t kGroupSalt = 0xBA7C45EEDULL;
 
-/// A positive int from the environment, or `fallback` when the variable
-/// is unset, unparsable, below 1, or above INT_MAX.
-int EnvPositiveInt(const char* name, int fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0' || v < 1 || v > INT_MAX) return fallback;
-  return static_cast<int>(v);
-}
-
 }  // namespace
 
 BatchConfig FromEnv(BatchConfig defaults) {
-  defaults.max_batch = EnvPositiveInt("TPR_BATCH_MAX", defaults.max_batch);
-  defaults.max_ticks = EnvPositiveInt("TPR_BATCH_TICKS", defaults.max_ticks);
+  defaults.max_batch = EnvNumber("TPR_BATCH_MAX", defaults.max_batch, 1);
+  defaults.max_ticks = EnvNumber("TPR_BATCH_TICKS", defaults.max_ticks, 1);
   return defaults;
 }
 

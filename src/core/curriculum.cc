@@ -55,42 +55,37 @@ StatusOr<std::vector<ScoredSample>> EvaluateDifficulty(
 
   // Train one expert per meta-set. Experts are independent (own seed,
   // own optimizer, own data shard) and each is a deterministic function
-  // of its config alone, so the result is thread-count invariant
-  // whichever loop runs them. A nested ParallelFor runs inline, so in an
-  // expert ParallelFor an expert on a pool worker trains its every shard
-  // on that one worker: the loop keeps min(n, threads) threads busy, with
-  // no per-batch join. Experts trained one after another on the calling
-  // thread keep min(grad_shards, threads) busy, joining every batch. Run
-  // them in sequence only when that is more threads.
-  std::vector<std::unique_ptr<WscModel>> experts(n);
-  std::vector<Status> expert_status(n, Status::OK());
-  const auto train_expert = [&](int j) {
-    obs::ScopedSpan expert_span("curriculum.expert", "expert", j);
-    Stopwatch expert_sw;
+  // of its config alone, so the result is thread-count invariant. They
+  // are built here, on the calling thread that also frees them: state a
+  // pool worker allocated would stay in that worker's malloc arena and
+  // raise peak RSS. One ParallelFor trains them; an expert's shard loop
+  // fans out to the workers no expert holds.
+  std::vector<std::unique_ptr<WscModel>> experts;
+  experts.reserve(n);
+  for (int j = 0; j < n; ++j) {
     WscConfig expert_config = wsc_config;
     expert_config.seed = wsc_config.seed + 1000 + j;
     expert_config.encoder.seed = wsc_config.encoder.seed + 1000 + j;
-    experts[j] = std::make_unique<WscModel>(features, expert_config);
-    for (int epoch = 0; epoch < config.expert_epochs; ++epoch) {
-      auto loss = experts[j]->TrainEpoch(meta_sets[j]);
-      if (!loss.ok()) {
-        expert_status[j] = loss.status();
-        return;
-      }
-    }
-    if (obs::MetricsEnabled()) {
-      obs::GetHistogram("curriculum.expert_seconds")
-          .Observe(expert_sw.ElapsedSeconds());
-    }
-  };
+    experts.push_back(std::make_unique<WscModel>(features, expert_config));
+  }
+  std::vector<Status> expert_status(n, Status::OK());
   {
     obs::ScopedSpan experts_span("curriculum.train_experts", "experts", n);
-    par::ThreadPool& tp = par::DefaultPool();
-    if (n < std::min(tp.num_threads(), wsc_config.grad_shards)) {
-      for (int j = 0; j < n; ++j) train_expert(j);
-    } else {
-      tp.ParallelFor(n, train_expert);
-    }
+    par::DefaultPool().ParallelFor(n, [&](int j) {
+      obs::ScopedSpan expert_span("curriculum.expert", "expert", j);
+      Stopwatch expert_sw;
+      for (int epoch = 0; epoch < config.expert_epochs; ++epoch) {
+        auto loss = experts[j]->TrainEpoch(meta_sets[j]);
+        if (!loss.ok()) {
+          expert_status[j] = loss.status();
+          return;
+        }
+      }
+      if (obs::MetricsEnabled()) {
+        obs::GetHistogram("curriculum.expert_seconds")
+            .Observe(expert_sw.ElapsedSeconds());
+      }
+    });
   }
   for (const auto& st : expert_status) {
     if (!st.ok()) return st;

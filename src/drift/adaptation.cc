@@ -1,7 +1,6 @@
 #include "drift/adaptation.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <numeric>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "ckpt/serialize.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
+#include "util/env.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -18,15 +18,6 @@ namespace {
 
 constexpr char kStateTag[] = "tpr-drift-finetune";
 constexpr uint32_t kStateVersion = 1;
-
-int EnvInt(const char* name, int fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
-  return static_cast<int>(v);
-}
 
 std::vector<int> AllIndices(const synth::CityDataset& data) {
   std::vector<int> indices(data.unlabeled.size());
@@ -42,9 +33,10 @@ void RemoveStateDir(const std::string& dir) {
 }  // namespace
 
 AdaptationConfig AdaptationConfigFromEnv(AdaptationConfig defaults) {
-  defaults.total_epochs = EnvInt("TPR_DRIFT_EPOCHS", defaults.total_epochs);
+  defaults.total_epochs =
+      EnvNumber("TPR_DRIFT_EPOCHS", defaults.total_epochs, 1);
   defaults.epochs_per_tick =
-      EnvInt("TPR_DRIFT_EPOCHS_PER_TICK", defaults.epochs_per_tick);
+      EnvNumber("TPR_DRIFT_EPOCHS_PER_TICK", defaults.epochs_per_tick, 1);
   return defaults;
 }
 

@@ -109,7 +109,8 @@ struct AdaptationConfig {
 };
 
 /// Overlays TPR_DRIFT_EPOCHS / TPR_DRIFT_EPOCHS_PER_TICK onto
-/// `defaults` (detector knobs live on DriftDetectorConfig).
+/// `defaults` (detector knobs live on DriftDetectorConfig). Malformed
+/// values and values below 1 keep the default.
 AdaptationConfig AdaptationConfigFromEnv(AdaptationConfig defaults);
 
 enum class AdaptState { kIdle = 0, kFineTuning = 1, kCooldown = 2 };

@@ -2,43 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "fault/fault.h"
 #include "obs/metrics.h"
+#include "util/env.h"
 #include "util/logging.h"
 
 namespace tpr::drift {
-namespace {
-
-double EnvDouble(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(raw, &end);
-  if (end == raw || *end != '\0' || !std::isfinite(v)) return fallback;
-  return v;
-}
-
-int EnvInt(const char* name, int fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
-  return static_cast<int>(v);
-}
-
-}  // namespace
 
 DriftDetectorConfig DriftDetectorConfigFromEnv(DriftDetectorConfig defaults) {
-  defaults.window = EnvInt("TPR_DRIFT_WINDOW", defaults.window);
-  defaults.delta = EnvDouble("TPR_DRIFT_DELTA", defaults.delta);
-  defaults.lambda = EnvDouble("TPR_DRIFT_LAMBDA", defaults.lambda);
-  defaults.min_windows = EnvInt("TPR_DRIFT_MIN_WINDOWS", defaults.min_windows);
+  defaults.window = EnvNumber("TPR_DRIFT_WINDOW", defaults.window, 1);
+  defaults.delta = EnvNumber("TPR_DRIFT_DELTA", defaults.delta, 0.0);
+  defaults.lambda =
+      EnvNumber("TPR_DRIFT_LAMBDA", defaults.lambda, kSmallestPositive);
+  defaults.min_windows =
+      EnvNumber("TPR_DRIFT_MIN_WINDOWS", defaults.min_windows, 1);
   defaults.cooldown_windows =
-      EnvInt("TPR_DRIFT_COOLDOWN", defaults.cooldown_windows);
+      EnvNumber("TPR_DRIFT_COOLDOWN", defaults.cooldown_windows, 0);
   return defaults;
 }
 

@@ -70,7 +70,9 @@ struct DriftDetectorConfig {
 
 /// Overlays TPR_DRIFT_WINDOW / TPR_DRIFT_DELTA / TPR_DRIFT_LAMBDA /
 /// TPR_DRIFT_MIN_WINDOWS / TPR_DRIFT_COOLDOWN onto `defaults`.
-/// Malformed values are ignored (the default survives).
+/// Malformed values, and values the detector would reject (a window or
+/// min_windows below 1, a negative cooldown or delta, a lambda <= 0),
+/// are ignored (the default survives).
 DriftDetectorConfig DriftDetectorConfigFromEnv(
     DriftDetectorConfig defaults = {});
 

@@ -326,12 +326,6 @@ Var Relu(const Var& a) {
       [](float x, float) { return x > 0 ? 1.0f : 0.0f; });
 }
 
-Var Exp(const Var& a) {
-  return UnaryOp(
-      a, [](float x) { return std::exp(x); },
-      [](float, float y) { return y; });
-}
-
 Var Log(const Var& a) {
   return UnaryOp(
       a, [](float x) { return std::log(x); },
@@ -346,12 +340,6 @@ Var Softplus(const Var& a) {
         return std::max(x, 0.0f) + std::log1p(std::exp(-std::fabs(x)));
       },
       [](float x, float) { return kern::SigmoidScalar(x); });
-}
-
-Var Sqrt(const Var& a) {
-  return UnaryOp(
-      a, [](float x) { return std::sqrt(x); },
-      [](float, float y) { return 0.5f / std::max(y, 1e-12f); });
 }
 
 Var Sum(const Var& a) {
@@ -669,12 +657,6 @@ Var MseLoss(const Var& pred, const Tensor& target) {
   Var t = Var::Leaf(target, /*requires_grad=*/false);
   Var diff = Sub(pred, t);
   return Mean(Mul(diff, diff));
-}
-
-Var BceWithLogits(const Var& logit, float target) {
-  TPR_CHECK(logit.rows() == 1 && logit.cols() == 1);
-  // loss = softplus(x) - target * x  (stable form of -[t log s + (1-t) log(1-s)])
-  return Sub(Softplus(logit), Scale(logit, target));
 }
 
 // ---------------------------------------------------------------------------

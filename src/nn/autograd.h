@@ -189,17 +189,11 @@ Var Sigmoid(const Var& a);
 /// Elementwise rectified linear unit.
 Var Relu(const Var& a);
 
-/// Elementwise exponential.
-Var Exp(const Var& a);
-
 /// Elementwise natural log. Inputs must be positive.
 Var Log(const Var& a);
 
 /// Elementwise numerically-stable softplus log(1 + e^x).
 Var Softplus(const Var& a);
-
-/// Elementwise square root. Inputs must be non-negative.
-Var Sqrt(const Var& a);
 
 /// Sum of all elements -> 1x1.
 Var Sum(const Var& a);
@@ -248,9 +242,6 @@ Var SoftmaxRows(const Var& a);
 
 /// Mean squared error between prediction and constant target.
 Var MseLoss(const Var& pred, const Tensor& target);
-
-/// Binary cross-entropy with logits against a constant target in [0,1].
-Var BceWithLogits(const Var& logit, float target);
 
 // ---------------------------------------------------------------------------
 // Fused ops. One graph node and one output tensor where the naive

@@ -17,7 +17,10 @@ ParamChunks::ParamChunks(const std::vector<Var>& params) {
 void ParamChunks::ForEach(
     const std::function<void(size_t, size_t, size_t)>& fn) const {
   const size_t total = offsets_.back();
-  auto run_chunk = [&](size_t lo, size_t hi) {
+  const size_t chunks = (total + kElements - 1) / kElements;
+  par::DefaultPool().ParallelFor(static_cast<int>(chunks), [&](int c) {
+    size_t lo = static_cast<size_t>(c) * kElements;
+    const size_t hi = std::min(total, lo + kElements);
     // The last parameter starting at or before lo holds it.
     size_t k = static_cast<size_t>(
         std::upper_bound(offsets_.begin(), offsets_.end(), lo) -
@@ -27,15 +30,6 @@ void ParamChunks::ForEach(
       if (end > lo) fn(k, lo - offsets_[k], end - offsets_[k]);
       lo = end;
     }
-  };
-  const size_t chunks = (total + kElements - 1) / kElements;
-  if (chunks <= 1) {
-    run_chunk(0, total);
-    return;
-  }
-  par::DefaultPool().ParallelFor(static_cast<int>(chunks), [&](int c) {
-    const size_t lo = static_cast<size_t>(c) * kElements;
-    run_chunk(lo, std::min(total, lo + kElements));
   });
 }
 

@@ -22,8 +22,8 @@ class ParamChunks {
 
   /// Calls fn(k, begin, end) for every piece [begin, end) of parameter k
   /// that falls inside one chunk, so every element is visited exactly
-  /// once. The chunks run on par::DefaultPool(); a list of at most one
-  /// chunk runs inline on the calling thread, with no pool round-trip.
+  /// once. The chunks run in a ParallelFor on par::DefaultPool(), which
+  /// runs a single chunk inline.
   void ForEach(const std::function<void(size_t, size_t, size_t)>& fn) const;
 
  private:

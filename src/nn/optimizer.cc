@@ -34,19 +34,6 @@ float Optimizer::ClipGradNorm(float max_norm) {
   return norm;
 }
 
-void Sgd::Step() {
-  for (auto& p : params_) {
-    const Tensor& g = p.grad();
-    if (g.empty()) continue;
-    Tensor& w = p.mutable_value();
-    for (size_t i = 0; i < w.size(); ++i) {
-      float grad = g[i];
-      if (weight_decay_ != 0.0f) grad += weight_decay_ * w[i];
-      w[i] -= lr_ * grad;
-    }
-  }
-}
-
 Adam::Adam(std::vector<Var> params, float lr, float beta1, float beta2,
            float eps)
     : Optimizer(std::move(params)),
@@ -91,14 +78,6 @@ void Adam::Step() {
         .Observe(std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - start)
                      .count());
-    double norm = 0.0;
-    for (const auto& p : params_) {
-      const Tensor& w = p.value();
-      for (size_t i = 0; i < w.size(); ++i) {
-        norm += static_cast<double>(w[i]) * w[i];
-      }
-    }
-    obs::GetGauge("nn.param_norm").Set(std::sqrt(norm));
   }
 }
 

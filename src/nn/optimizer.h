@@ -32,22 +32,6 @@ class Optimizer {
   std::vector<Var> params_;
 };
 
-/// Plain stochastic gradient descent with optional weight decay.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Var> params, float lr, float weight_decay = 0.0f)
-      : Optimizer(std::move(params)), lr_(lr), weight_decay_(weight_decay) {}
-
-  void Step() override;
-
-  void set_lr(float lr) { lr_ = lr; }
-  float lr() const { return lr_; }
-
- private:
-  float lr_;
-  float weight_decay_;
-};
-
 /// The mutable state of an Adam optimizer: step count and first/second
 /// moment estimates, in parameter order. Hyper-parameters (lr, betas,
 /// eps) are configuration, not state — a restored optimizer keeps the

@@ -2,11 +2,11 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/env.h"
 #include "util/logging.h"
 
 namespace tpr::par {
@@ -36,12 +36,8 @@ void AddWorkerTime(int worker_index, const char* kind, double seconds) {
 int WorkerIndex() { return t_worker_index; }
 
 int ConfiguredThreads() {
-  if (const char* s = std::getenv("TPR_THREADS")) {
-    const int v = std::atoi(s);
-    if (v >= 1) return v;
-  }
   const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 1 : static_cast<int>(hc);
+  return EnvNumber("TPR_THREADS", hc == 0 ? 1 : static_cast<int>(hc), 1);
 }
 
 struct ThreadPool::ForState {
@@ -228,20 +224,11 @@ void ThreadPool::RunOnAllWorkers(const std::function<void(int)>& fn) {
 
 void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
   if (n <= 0) return;
-  if (InsidePool() || num_threads_ == 1 || n == 1) {
-    // Inline: either nested inside a pool task (spawning helpers could
-    // deadlock on a saturated queue) or there is nothing to fan out to.
-    // Nested (inside-pool) loops are not spanned: their time is already
-    // inside the enclosing par.task span.
-    if (!InsidePool()) {
-      obs::ScopedSpan span("par.parallel_for", "n", n);
-      for (int i = 0; i < n; ++i) fn(i);
-    } else {
-      for (int i = 0; i < n; ++i) fn(i);
-    }
+  obs::ScopedSpan span("par.parallel_for", "n", n);
+  if (num_threads_ == 1 || n == 1) {
+    for (int i = 0; i < n; ++i) fn(i);
     return;
   }
-  obs::ScopedSpan span("par.parallel_for", "n", n);
   auto state = std::make_shared<ForState>();
   state->n = n;
   state->fn = &fn;
@@ -249,7 +236,10 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
   for (int h = 0; h < helpers; ++h) {
     Enqueue([state] { RunForChunk(state); });
   }
-  RunForChunk(state);  // the caller works too, as slot 0
+  // The caller works too. When it runs out of indices, every unfinished
+  // one is running on another thread, so the wait below takes no job
+  // and cannot deadlock, also inside a pool task.
+  RunForChunk(state);
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(state->m);

@@ -20,14 +20,16 @@ namespace tpr::par {
 int WorkerIndex();
 
 /// Thread count requested via the TPR_THREADS environment variable,
-/// falling back to std::thread::hardware_concurrency(). Always >= 1.
+/// falling back to std::thread::hardware_concurrency() when it is unset,
+/// malformed or out of range. Always >= 1.
 int ConfiguredThreads();
 
 /// A fixed-size FIFO thread pool (no work stealing). `num_threads`
 /// counts the caller: a pool of size N spawns N-1 background workers and
-/// the caller participates in ParallelFor. Tasks submitted from inside a
-/// pool worker run inline, which makes nested Submit/ParallelFor calls
-/// deadlock-free.
+/// the caller participates in ParallelFor. A ParallelFor called from
+/// inside a pool task fans out like a top-level one, so an outer loop
+/// over a few large items leaves no worker idle; a Submit from inside a
+/// pool task runs inline.
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -44,8 +46,15 @@ class ThreadPool {
   /// stops claiming new iterations, every participant joins, and the
   /// smallest-index exception among those that fired is rethrown HERE on
   /// the calling thread (deterministic when a single index throws).
-  /// Safe to call from inside a pool task: it then runs the whole loop
-  /// inline on the current thread.
+  ///
+  /// Called from inside a pool task it works the same way: it enqueues
+  /// min(num_threads - 1, n - 1) helpers, claims indices itself, then
+  /// waits for its own loop only. That wait never runs a job: every
+  /// unfinished index is then running on another thread, so nesting
+  /// cannot deadlock, and the caller never runs another loop's
+  /// iterations. At any depth, fn must not rely on the caller's
+  /// thread-local state (no-grad depth, gradient redirect, kernel pin,
+  /// fault scope): any index may run on another thread.
   void ParallelFor(int n, const std::function<void(int)>& fn);
 
   /// Runs fn(worker_index) exactly once on EVERY thread of the pool —

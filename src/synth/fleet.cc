@@ -1,50 +1,18 @@
 #include "synth/fleet.h"
 
-#include <cmath>
-#include <cstdlib>
 #include <utility>
 
+#include "util/env.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
 namespace tpr::synth {
-namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || v <= 0) return fallback;
-  return static_cast<int>(v);
-}
-
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
-  return static_cast<uint64_t>(v);
-}
-
-double EnvDouble(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(raw, &end);
-  if (end == raw || *end != '\0' || !std::isfinite(v) || v <= 0.0) {
-    return fallback;
-  }
-  return v;
-}
-
-}  // namespace
 
 FleetConfig FleetConfigFromEnv(FleetConfig defaults) {
-  defaults.num_cities = EnvInt("TPR_SHARDS", defaults.num_cities);
-  defaults.seed = EnvU64("TPR_FLEET_SEED", defaults.seed);
-  defaults.dataset_scale = EnvDouble("TPR_FLEET_SCALE", defaults.dataset_scale);
+  defaults.num_cities = EnvNumber("TPR_SHARDS", defaults.num_cities, 1);
+  defaults.seed = EnvNumber("TPR_FLEET_SEED", defaults.seed, uint64_t{0});
+  defaults.dataset_scale =
+      EnvNumber("TPR_FLEET_SCALE", defaults.dataset_scale, kSmallestPositive);
   return defaults;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <future>
 #include <limits>
@@ -210,6 +211,32 @@ TEST_F(DetectorTest, ConfigFromEnvOverlaysAndIgnoresGarbage) {
   AdaptationConfig acfg = AdaptationConfigFromEnv(AdaptationConfig{});
   ::unsetenv("TPR_DRIFT_EPOCHS");
   EXPECT_EQ(acfg.total_epochs, 9);
+
+  // Out of range is garbage too: the detector and the controller would
+  // abort on it at construction. A zero cooldown and a zero delta are
+  // valid; a double as large as 99999999999 is in range.
+  const DriftDetectorConfig dflt;
+  const AdaptationConfig adflt;
+  const std::vector<const char*> knobs = {
+      "TPR_DRIFT_WINDOW", "TPR_DRIFT_DELTA", "TPR_DRIFT_LAMBDA",
+      "TPR_DRIFT_MIN_WINDOWS", "TPR_DRIFT_COOLDOWN", "TPR_DRIFT_EPOCHS",
+      "TPR_DRIFT_EPOCHS_PER_TICK"};
+  for (const char* bad : {"0", "-3", "99999999999"}) {
+    SCOPED_TRACE(bad);
+    for (const char* knob : knobs) ::setenv(knob, bad, 1);
+    cfg = DriftDetectorConfigFromEnv();
+    acfg = AdaptationConfigFromEnv(AdaptationConfig{});
+    for (const char* knob : knobs) ::unsetenv(knob);
+    const double parsed = std::strtod(bad, nullptr);
+    EXPECT_EQ(cfg.window, dflt.window);
+    EXPECT_EQ(cfg.min_windows, dflt.min_windows);
+    EXPECT_EQ(cfg.cooldown_windows,
+              std::string(bad) == "0" ? 0 : dflt.cooldown_windows);
+    EXPECT_DOUBLE_EQ(cfg.delta, parsed >= 0.0 ? parsed : dflt.delta);
+    EXPECT_DOUBLE_EQ(cfg.lambda, parsed > 0.0 ? parsed : dflt.lambda);
+    EXPECT_EQ(acfg.total_epochs, adflt.total_epochs);
+    EXPECT_EQ(acfg.epochs_per_tick, adflt.epochs_per_tick);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -153,17 +153,6 @@ TEST(ModulesExtraTest, LstmLearnsToCountSteps) {
   EXPECT_LT(last, first * 0.3f);
 }
 
-TEST(OptimizerExtraTest, WeightDecayShrinksWeights) {
-  Var w = MakeParam({1.0f}, 1, 1);
-  Sgd opt({w}, 0.1f, /*weight_decay=*/0.5f);
-  // Zero gradient; only decay acts.
-  Var loss = Sum(Scale(w, 0.0f));
-  opt.ZeroGrad();
-  loss.Backward();
-  opt.Step();
-  EXPECT_NEAR(w.value()[0], 1.0f - 0.1f * 0.5f, 1e-6f);
-}
-
 TEST(OptimizerExtraTest, AdamHandlesSparseGradients) {
   // A parameter that never receives gradient must remain unchanged.
   Var used = MakeParam({1.0f}, 1, 1);
@@ -194,7 +183,7 @@ TEST_P(ActivationSweepTest, FiniteGradients) {
   Rng rng(54);
   const ActivationCase cases[] = {
       {"tanh", &Tanh}, {"sigmoid", &Sigmoid}, {"relu", &Relu},
-      {"softplus", &Softplus}, {"exp", &Exp}};
+      {"softplus", &Softplus}};
   for (const auto& c : cases) {
     Var x = UniformParam(rows, cols, 0.9f, rng);
     Var loss = Sum(c.fn(x));

@@ -109,7 +109,6 @@ TEST(AutogradTest, ActivationsBackward) {
   CheckGradient(a, [&] { return Sum(Tanh(a)); });
   CheckGradient(a, [&] { return Sum(Sigmoid(a)); });
   CheckGradient(a, [&] { return Sum(Softplus(a)); });
-  CheckGradient(a, [&] { return Sum(Exp(a)); });
 }
 
 TEST(AutogradTest, ReluBackward) {
@@ -124,7 +123,6 @@ TEST(AutogradTest, ReluBackward) {
 TEST(AutogradTest, LogSqrtBackward) {
   Var a = MakeParam({0.5f, 1.0f, 2.0f}, 1, 3);
   CheckGradient(a, [&] { return Sum(Log(a)); });
-  CheckGradient(a, [&] { return Sum(Sqrt(a)); });
 }
 
 TEST(AutogradTest, RowMeanRowMaxBackward) {
@@ -174,14 +172,6 @@ TEST(AutogradTest, SoftmaxRowsSumsToOne) {
   Var a = MakeParam({3.0f, 1.0f, -2.0f}, 1, 3);
   Var y = SoftmaxRows(a);
   EXPECT_NEAR(y.value().Sum(), 1.0f, 1e-5f);
-}
-
-TEST(AutogradTest, BceWithLogitsMatchesManual) {
-  Var x = MakeParam({0.7f}, 1, 1);
-  const float expected =
-      -std::log(1.0f / (1.0f + std::exp(-0.7f)));  // target = 1
-  EXPECT_NEAR(BceWithLogits(x, 1.0f).scalar(), expected, 1e-5f);
-  CheckGradient(x, [&] { return BceWithLogits(x, 0.3f); });
 }
 
 TEST(AutogradTest, GradAccumulatesAcrossSharedUse) {
@@ -294,18 +284,6 @@ TEST(ModulesTest, CopyParamsFromRejectsMismatch) {
   EXPECT_FALSE(a.CopyParamsFrom(b).ok());
 }
 
-TEST(OptimizerTest, SgdDescendsQuadratic) {
-  Var w = MakeParam({5.0f}, 1, 1);
-  Sgd opt({w}, 0.1f);
-  for (int i = 0; i < 100; ++i) {
-    Var loss = Mul(w, w);
-    opt.ZeroGrad();
-    Sum(loss).Backward();
-    opt.Step();
-  }
-  EXPECT_NEAR(w.value()[0], 0.0f, 1e-3f);
-}
-
 TEST(OptimizerTest, AdamDescendsQuadratic) {
   Var w = MakeParam({5.0f}, 1, 1);
   Adam opt({w}, 0.3f);
@@ -320,7 +298,7 @@ TEST(OptimizerTest, AdamDescendsQuadratic) {
 
 TEST(OptimizerTest, ClipGradNormBoundsNorm) {
   Var w = MakeParam({3.0f, 4.0f}, 1, 2);
-  Sgd opt({w}, 0.1f);
+  Adam opt({w}, 0.1f);
   Var loss = Sum(Mul(w, Var::Leaf(Tensor::RowVector({30.0f, 40.0f}))));
   opt.ZeroGrad();
   loss.Backward();

@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/supervised.h"
@@ -111,13 +117,74 @@ TEST(ThreadPoolTest, SubmitExceptionDoesNotPoisonLaterTasks) {
   EXPECT_EQ(good.get(), 7);
 }
 
-TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
+// Nested loops fan out, and the pool still runs every index exactly
+// once and terminates, also when the outer loop alone saturates it (64
+// outer iterations on 4 threads, each enqueueing nested helpers).
+TEST(ThreadPoolTest, NestedParallelForCoversEveryIndexWithoutDeadlock) {
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(6 * 5);
-  pool.ParallelFor(6, [&](int i) {
-    pool.ParallelFor(5, [&](int j) { hits[i * 5 + j].fetch_add(1); });
+  for (const auto& shape : {std::pair{6, 5}, std::pair{64, 16}}) {
+    const int outer = shape.first;
+    const int inner = shape.second;
+    SCOPED_TRACE(std::to_string(outer) + "x" + std::to_string(inner));
+    std::vector<std::atomic<int>> hits(outer * inner);
+    pool.ParallelFor(outer, [&](int i) {
+      pool.ParallelFor(inner, [&](int j) { hits[i * inner + j].fetch_add(1); });
+    });
+    for (size_t k = 0; k < hits.size(); ++k) {
+      EXPECT_EQ(hits[k].load(), 1) << "index " << k;
+    }
+  }
+}
+
+// An outer iteration on a pool worker (as every curriculum expert but
+// the caller's is) must hand its nested loop to the idle workers. The
+// loop runs inside a Submit task, so every outer iteration is on a
+// worker and the caller thread takes no part. Each nested iteration
+// waits, up to a shared deadline, until three distinct threads have run
+// nested work; a pool that ran nested loops inline would run all of it
+// on the one worker holding the task.
+TEST(ThreadPoolTest, NestedParallelForFansOutToIdleWorkers) {
+  ThreadPool pool(4);
+  std::mutex m;
+  std::condition_variable cv;
+  std::set<std::thread::id> threads;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  auto task = pool.Submit([&] {
+    pool.ParallelFor(2, [&](int) {
+      pool.ParallelFor(8, [&](int) {
+        std::unique_lock<std::mutex> lock(m);
+        threads.insert(std::this_thread::get_id());
+        cv.notify_all();
+        cv.wait_until(lock, deadline, [&] { return threads.size() >= 3; });
+      });
+    });
   });
-  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
+  task.get();
+  EXPECT_GE(threads.size(), 3u);
+}
+
+// A nested exception reaches the top-level caller: the inner loop
+// rethrows it on the outer iteration's thread, the outer loop on the
+// caller. With a single throwing index the result is deterministic.
+TEST(ThreadPoolTest, NestedParallelForExceptionReachesTheCaller) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    try {
+      pool.ParallelFor(8, [&](int i) {
+        pool.ParallelFor(16, [&](int j) {
+          if (i == 5 && j == 11) throw std::runtime_error("5/11");
+        });
+      });
+      FAIL() << "ParallelFor must rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "5/11");
+    }
+    std::atomic<int> count{0};
+    pool.ParallelFor(8, [&](int) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 8);
+  }
 }
 
 TEST(ThreadPoolTest, NestedSubmitRunsInlineWithoutDeadlock) {
@@ -143,6 +210,30 @@ TEST(ThreadPoolTest, WorkerIndexStaysWithinPoolBounds) {
 
 TEST(ThreadPoolTest, ConfiguredThreadsIsPositive) {
   EXPECT_GE(ConfiguredThreads(), 1);
+}
+
+// Only parses TPR_THREADS; no pool is built from these values. A value
+// that does not parse completely or is out of range keeps the hardware
+// default, including one that differs from it on every host.
+TEST(ThreadPoolTest, ConfiguredThreadsKeepsTheDefaultOnGarbage) {
+  const char* env = std::getenv("TPR_THREADS");
+  const bool was_set = env != nullptr;
+  const std::string saved = was_set ? env : "";
+  ::unsetenv("TPR_THREADS");
+  const int dflt = ConfiguredThreads();
+  ::setenv("TPR_THREADS", "3", 1);
+  EXPECT_EQ(ConfiguredThreads(), 3);
+  const std::string off_by_one = std::to_string(dflt + 1) + "x";
+  for (const char* bad :
+       {"4x", off_by_one.c_str(), "99999999999", "0", "-3", "abc"}) {
+    ::setenv("TPR_THREADS", bad, 1);
+    EXPECT_EQ(ConfiguredThreads(), dflt) << bad;
+  }
+  if (was_set) {
+    ::setenv("TPR_THREADS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("TPR_THREADS");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -516,9 +607,9 @@ TEST_F(ParDeterminismTest, TrainEpochIsBitwiseIdenticalAcrossThreadCounts) {
 }
 
 // The whole pipeline with the learned curriculum: the experts, then the
-// staged schedule. At 4 threads, 2 experts train one after another with
-// the pool for their shards and 4 experts train in a ParallelFor; both
-// must come out the same as at 1 thread.
+// staged schedule. The experts train in one ParallelFor whose shard
+// loops fan out to idle workers; at 4 threads, with 2 experts (workers
+// to spare) and with 4 (none), the result must be the 1-thread one.
 TEST_F(ParDeterminismTest, LearnedCurriculumTrainIsBitwiseIdentical) {
   auto train = [&](int threads, int num_meta_sets) {
     SetDefaultThreads(threads);

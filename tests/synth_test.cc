@@ -689,6 +689,23 @@ TEST(FleetTest, ConfigFromEnvOverrides) {
   fc = FleetConfigFromEnv(FleetConfig{});
   EXPECT_EQ(fc.num_cities, 3);
   EXPECT_DOUBLE_EQ(fc.dataset_scale, 1.0);
+  // Out of range is invalid too: a shard count past INT_MAX must not
+  // wrap, and a negative seed must not wrap to a huge one. Any
+  // non-negative 64-bit seed and any positive scale are in range.
+  const FleetConfig dflt;
+  for (const char* bad : {"0", "-3", "99999999999"}) {
+    SCOPED_TRACE(bad);
+    setenv("TPR_SHARDS", bad, 1);
+    setenv("TPR_FLEET_SEED", bad, 1);
+    setenv("TPR_FLEET_SCALE", bad, 1);
+    fc = FleetConfigFromEnv(FleetConfig{});
+    const double parsed = std::strtod(bad, nullptr);
+    EXPECT_EQ(fc.num_cities, dflt.num_cities);
+    EXPECT_EQ(fc.seed,
+              parsed >= 0.0 ? static_cast<uint64_t>(parsed) : dflt.seed);
+    EXPECT_DOUBLE_EQ(fc.dataset_scale,
+                     parsed > 0.0 ? parsed : dflt.dataset_scale);
+  }
   unsetenv("TPR_SHARDS");
   unsetenv("TPR_FLEET_SEED");
   unsetenv("TPR_FLEET_SCALE");
