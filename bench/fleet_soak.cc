@@ -5,8 +5,9 @@
 //                single-worker service per shard, requests pipelined
 //                through the router round-robin over cities). On a
 //                machine with >= N cores the fleet should scale near
-//                linearly; `fleet.scaling_ratio` carries the measured
-//                N-shard / 1-shard req/s ratio into the gate.
+//                linearly; `fleet.scaling_ratio` carries the median
+//                N-shard / 1-shard req/s ratio of 3 interleaved pairs
+//                into the gate.
 //   isolation  — two full passes over fresh per-shard stacks (service +
 //                rollout + drift adaptation per city, all namespaced
 //                under <root>/shard-<city>/):
@@ -499,20 +500,33 @@ int main(int argc, char** argv) {
   TPR_CHECK(fleet.size() >= 2) << "fleet soak needs at least 2 shards";
 
   // ---- Scaling phase (timing only: nothing here enters the trace). ----
+  // Interleaved pairs of 1-shard and N-shard runs, so each ratio compares
+  // two runs under the same host load; each metric records its median.
   const int scale_requests = Smoke() ? 192 : 1024;
-  std::fprintf(stderr, "[bench] scaling: 1 shard...\n");
-  const double single_rps = MeasureFleetRps(worlds, 1, scale_requests);
-  std::fprintf(stderr, "[bench] scaling: %d shards...\n", fleet.size());
-  const double fleet_rps =
-      MeasureFleetRps(worlds, fleet.size(), scale_requests);
-  const double ratio = single_rps > 0 ? fleet_rps / single_rps : 0.0;
-  std::fprintf(stderr,
-               "[bench] scaling: 1 shard %.1f req/s, %d shards %.1f req/s "
-               "(ratio %.2f)\n",
-               single_rps, fleet.size(), fleet_rps, ratio);
-  Record("fleet.single_shard_rps", single_rps);
-  Record("fleet.fleet_rps", fleet_rps);
-  Record("fleet.scaling_ratio", ratio);
+  constexpr int kScalingPairs = 3;
+  std::vector<double> single_rps, fleet_rps, ratios;
+  for (int pair = 0; pair < kScalingPairs; ++pair) {
+    std::fprintf(stderr, "[bench] scaling pair %d: 1 shard...\n", pair);
+    single_rps.push_back(MeasureFleetRps(worlds, 1, scale_requests));
+    std::fprintf(stderr, "[bench] scaling pair %d: %d shards...\n", pair,
+                 fleet.size());
+    fleet_rps.push_back(MeasureFleetRps(worlds, fleet.size(), scale_requests));
+    ratios.push_back(single_rps.back() > 0
+                         ? fleet_rps.back() / single_rps.back()
+                         : 0.0);
+    std::fprintf(stderr,
+                 "[bench] scaling pair %d: 1 shard %.1f req/s, %d shards "
+                 "%.1f req/s (ratio %.2f)\n",
+                 pair, single_rps.back(), fleet.size(), fleet_rps.back(),
+                 ratios.back());
+  }
+  const auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  Record("fleet.single_shard_rps", median(single_rps));
+  Record("fleet.fleet_rps", median(fleet_rps));
+  Record("fleet.scaling_ratio", median(ratios));
   Record("fleet.shards", static_cast<double>(fleet.size()));
 
   // ---- Isolation soak: clean pass, then bombed pass. ----

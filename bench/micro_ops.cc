@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -313,15 +314,22 @@ BENCHMARK(BM_GbdtFit);
 // from run_benches.sh --smoke (the quantized rung's >=2x kernel-level
 // speedup claim; see DESIGN.md section 14 for why the gate lives at the
 // kernel level and the end-to-end encode ratio is gated lower).
-double BestSeconds(int reps, int iters, const std::function<void()>& fn) {
-  fn();  // warm caches and the dispatch atomic
-  double best = 1e30;
+//
+// Best per-iteration seconds of two legs, timed in turn rep by rep, so
+// a burst of host load shorter than the phase falls on both legs, not
+// on whichever leg happened to be running.
+std::array<double, 2> BestSecondsInterleaved(
+    int reps, int iters, const std::array<std::function<void()>, 2>& legs) {
+  std::array<double, 2> best{1e30, 1e30};
+  for (const auto& fn : legs) fn();  // warm caches and the dispatch atomic
   for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) fn();
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t0;
-    best = std::min(best, dt.count() / iters);
+    for (size_t l = 0; l < legs.size(); ++l) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int i = 0; i < iters; ++i) legs[l]();
+      const std::chrono::duration<double> dt =
+          std::chrono::steady_clock::now() - t0;
+      best[l] = std::min(best[l], dt.count() / iters);
+    }
   }
   return best;
 }
@@ -353,12 +361,12 @@ void WriteKernelPhaseJson(const char* path, bool smoke) {
   // Best-of-reps, not mean: the floor gate wants the machine's capable
   // rate, and the minimum per-iteration time is the measurement least
   // polluted by preemption on shared runners.
-  const double fp32_s = BestSeconds(reps, iters, [&] {
-    kern::GemmTransBAcc(a.data(), b.data(), out.data(), m, k, n);
-  });
-  const double int8_s = BestSeconds(reps, iters, [&] {
-    kern::GemmInt8Wide(a8.data(), btw.data(), out32.data(), m, k, n);
-  });
+  const auto [fp32_s, int8_s] = BestSecondsInterleaved(
+      reps, iters,
+      {[&] { kern::GemmTransBAcc(a.data(), b.data(), out.data(), m, k, n); },
+       [&] {
+         kern::GemmInt8Wide(a8.data(), btw.data(), out32.data(), m, k, n);
+       }});
   const double fp32_rate = fp32_s > 0 ? ops / fp32_s : 0.0;
   const double int8_rate = int8_s > 0 ? ops / int8_s : 0.0;
 

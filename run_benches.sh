@@ -146,7 +146,8 @@ if [ "$smoke" = true ]; then
     fail=1
   fi
   # Fleet shard-scaling floor: 3 single-worker shards behind the router
-  # must deliver >= 2.4x the batched req/s of 1 shard. The degraded
+  # must deliver >= 2.4x the batched req/s of 1 shard (the median ratio
+  # of 3 interleaved 1-shard/3-shard pairs). The degraded
   # floor covers runners with fewer cores than the three shard workers
   # plus the submitting thread (a 1-core host proves nothing about shard
   # parallelism, so it only checks sanity).

@@ -96,7 +96,6 @@ Status SupervisedBase::Train() {
         accumulator.Backward(s, nn::Sum(nn::ConcatCols(losses)));
       });
 
-      opt.ZeroGrad();
       accumulator.Reduce(1.0f / static_cast<float>(items));
       opt.ClipGradNorm(config_.grad_clip);
       opt.Step();

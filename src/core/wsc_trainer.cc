@@ -179,15 +179,14 @@ StatusOr<double> WscModel::TrainEpoch(const std::vector<int>& indices) {
 
     // Deterministic reduction (fixed shard order), then one Adam step on
     // the shared parameters.
-    optimizer_->ZeroGrad();
     accumulator_->Reduce(1.0f / static_cast<float>(defined));
     const float grad_norm = optimizer_->ClipGradNorm(config_.grad_clip);
 
     // Watchdog: a non-finite loss, an exploding pre-clip gradient norm,
     // or an injected nan-loss fault (drills) marks the batch bad. Bad
-    // batches are skipped — the already-reduced gradients are discarded
-    // by the next ZeroGrad — and a long enough streak aborts the epoch
-    // so the pipeline can roll back to the last checkpoint.
+    // batches are skipped — the next Reduce overwrites the gradients
+    // reduced here — and a long enough streak aborts the epoch so the
+    // pipeline can roll back to the last checkpoint.
     if (config_.watchdog_max_consecutive_bad > 0) {
       const bool bad = !finite_loss || !std::isfinite(grad_norm) ||
                        grad_norm > config_.watchdog_max_grad_norm ||

@@ -57,10 +57,11 @@ gbdt::Matrix SelectRows(const gbdt::Matrix& x, const std::vector<int>& rows) {
   return out;
 }
 
-StatusOr<TaskScores> EvaluateImpl(const synth::CityDataset& data,
-                                  const PathEncoderFn& encoder,
-                                  const DownstreamOptions& options,
-                                  bool include_recommendation) {
+}  // namespace
+
+StatusOr<TaskScores> EvaluateTasks(const synth::CityDataset& data,
+                                   const PathEncoderFn& encoder,
+                                   const DownstreamOptions& options) {
   const auto& samples = data.labeled;
   if (samples.empty()) return Status::InvalidArgument("no labeled samples");
 
@@ -127,7 +128,7 @@ StatusOr<TaskScores> EvaluateImpl(const synth::CityDataset& data,
   }
 
   // ---- Path recommendation (GBC). ----
-  if (include_recommendation) {
+  {
     std::vector<int> y_train(train_idx.size());
     for (size_t i = 0; i < train_idx.size(); ++i) {
       y_train[i] = samples[train_idx[i]].recommended;
@@ -148,21 +149,6 @@ StatusOr<TaskScores> EvaluateImpl(const synth::CityDataset& data,
   }
 
   return scores;
-}
-
-}  // namespace
-
-StatusOr<TaskScores> EvaluateTasks(const synth::CityDataset& data,
-                                   const PathEncoderFn& encoder,
-                                   const DownstreamOptions& options) {
-  return EvaluateImpl(data, encoder, options, /*include_recommendation=*/true);
-}
-
-StatusOr<TaskScores> EvaluateRegressionTasks(const synth::CityDataset& data,
-                                             const PathEncoderFn& encoder,
-                                             const DownstreamOptions& options) {
-  return EvaluateImpl(data, encoder, options,
-                      /*include_recommendation=*/false);
 }
 
 }  // namespace tpr::eval

@@ -51,12 +51,6 @@ StatusOr<TaskScores> EvaluateTasks(const synth::CityDataset& data,
                                    const PathEncoderFn& encoder,
                                    const DownstreamOptions& options = {});
 
-/// As EvaluateTasks but restricted to the travel-time task (used by
-/// parameter sweeps that only report TTE + ranking).
-StatusOr<TaskScores> EvaluateRegressionTasks(
-    const synth::CityDataset& data, const PathEncoderFn& encoder,
-    const DownstreamOptions& options = {});
-
 /// Splits group ids into train/test group sets deterministically.
 void SplitGroups(const std::vector<synth::TemporalPathSample>& samples,
                  double train_fraction, uint64_t seed,

@@ -95,6 +95,7 @@ void GradAccumulator::Reduce(float scale) {
     Tensor& master_grad = master_[p].impl()->grad;
     if (master_grad.empty()) return;
     float* dst = master_grad.data();
+    std::fill(dst + begin, dst + end, 0.0f);
     for (size_t s = 0; s < filled_.size(); ++s) {
       if (!filled_[s]) continue;
       Tensor& g = shard_grads_[s][p];

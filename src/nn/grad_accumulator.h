@@ -72,12 +72,14 @@ class GradAccumulator {
   /// Backward and CaptureShard calls of the batch have completed.
   int captured() const;
 
-  /// master.grad += scale * sum over filled slots, each element adding
-  /// the slots in increasing index order, then zeroes those slots. The
-  /// master gradients are allocated on the calling thread; the adds run
-  /// in ParamChunks. Does not zero the master gradients first; pair with
-  /// Optimizer::ZeroGrad(). Adding a zero slot is then a bitwise no-op:
-  /// a sum that starts at +0.0 never becomes -0.0.
+  /// master.grad = scale * sum over filled slots, then zeroes those
+  /// slots. Each element starts at +0.0 and adds the slots in increasing
+  /// index order, and every non-empty master gradient is overwritten, so
+  /// a parameter no slot reached ends the reduce at zero and no ZeroGrad()
+  /// comes first. Adding a zero slot is a bitwise no-op: a sum that
+  /// starts at +0.0 never becomes -0.0. The master gradients are
+  /// allocated on the calling thread; the zeroing and the adds run in
+  /// ParamChunks.
   void Reduce(float scale);
 
  private:

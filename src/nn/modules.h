@@ -19,13 +19,6 @@ class Module {
   /// All trainable parameters of this module (recursively).
   virtual std::vector<Var> Parameters() const = 0;
 
-  /// Total number of scalar parameters.
-  size_t NumParams() const {
-    size_t n = 0;
-    for (const auto& p : Parameters()) n += p.value().size();
-    return n;
-  }
-
   /// Copies parameter values (not gradients) from another module with an
   /// identical parameter layout. Used to transplant a pre-trained encoder
   /// into a supervised model (paper Fig. 7).

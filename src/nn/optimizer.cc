@@ -8,7 +8,7 @@
 
 namespace tpr::nn {
 
-float Optimizer::ClipGradNorm(float max_norm) {
+float Adam::ClipGradNorm(float max_norm) {
   double total = 0.0;
   for (const auto& p : params_) {
     const Tensor& g = p.grad();
@@ -36,7 +36,7 @@ float Optimizer::ClipGradNorm(float max_norm) {
 
 Adam::Adam(std::vector<Var> params, float lr, float beta1, float beta2,
            float eps)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),

@@ -9,29 +9,6 @@
 
 namespace tpr::nn {
 
-/// Base optimizer interface over a fixed list of leaf parameters.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Var> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  /// Applies one update using the gradients currently stored on the
-  /// parameters, then leaves the gradients untouched (call ZeroGrad()).
-  virtual void Step() = 0;
-
-  /// Clears all parameter gradients.
-  void ZeroGrad() {
-    for (auto& p : params_) p.ZeroGrad();
-  }
-
-  /// Rescales gradients so their global L2 norm is at most max_norm.
-  /// Returns the pre-clipping norm.
-  float ClipGradNorm(float max_norm);
-
- protected:
-  std::vector<Var> params_;
-};
-
 /// The mutable state of an Adam optimizer: step count and first/second
 /// moment estimates, in parameter order. Hyper-parameters (lr, betas,
 /// eps) are configuration, not state — a restored optimizer keeps the
@@ -42,16 +19,30 @@ struct AdamState {
   std::vector<Tensor> v;
 };
 
-/// Adam (Kingma & Ba). The paper trains with lr = 3e-4. Step() updates
-/// the parameters in ParamChunks on the default pool; the update is
-/// elementwise, so it keeps its bits at any thread count. A parameter
-/// whose gradient is empty is left untouched.
-class Adam : public Optimizer {
+/// Adam (Kingma & Ba) over a fixed list of leaf parameters. The paper
+/// trains with lr = 3e-4. Step() updates the parameters in ParamChunks on
+/// the default pool; the update is elementwise, so it keeps its bits at
+/// any thread count. A parameter whose gradient is empty is left
+/// untouched.
+class Adam {
  public:
   Adam(std::vector<Var> params, float lr, float beta1 = 0.9f,
        float beta2 = 0.999f, float eps = 1e-8f);
 
-  void Step() override;
+  /// Applies one update using the gradients currently stored on the
+  /// parameters, then leaves the gradients untouched.
+  void Step();
+
+  /// Clears all parameter gradients, for a loss.Backward() that
+  /// accumulates into them. GradAccumulator::Reduce needs no clearing:
+  /// it overwrites the gradients.
+  void ZeroGrad() {
+    for (auto& p : params_) p.ZeroGrad();
+  }
+
+  /// Rescales gradients so their global L2 norm is at most max_norm.
+  /// Returns the pre-clipping norm.
+  float ClipGradNorm(float max_norm);
 
   void set_lr(float lr) { lr_ = lr; }
   float lr() const { return lr_; }
@@ -64,6 +55,7 @@ class Adam : public Optimizer {
   Status ImportState(AdamState state);
 
  private:
+  std::vector<Var> params_;
   float lr_;
   float beta1_;
   float beta2_;

@@ -182,9 +182,9 @@ class QuantizedEncoder {
   std::vector<float> EncodeValue(const graph::Path& path,
                                  int64_t depart_time_s) const;
 
-  /// Batched form used by the serve rung's group-level path: the packed
-  /// lockstep forward of core/inference_plan.h. Every batch row is
-  /// bitwise equal to the corresponding single EncodeValue.
+  /// Batched form: the packed lockstep forward of core/inference_plan.h.
+  /// Every batch row is bitwise equal to the corresponding single
+  /// EncodeValue, so a row never depends on the batch it rode in.
   std::vector<std::vector<float>> EncodeValueBatch(
       const std::vector<core::PathTimeItem>& items) const;
 

@@ -70,8 +70,7 @@ StatusOr<TickReport> RolloutController::Tick() {
     ApplyResolution(*res, &report);
   }
   if (!service_->canary_status().installed) {
-    bool advanced = false;
-    TPR_RETURN_IF_ERROR(ScanForCandidate(&report, &advanced));
+    TPR_RETURN_IF_ERROR(ScanForCandidate(&report));
   }
   if (dirty_) {
     Status published =
@@ -136,9 +135,7 @@ void RolloutController::ApplyResolution(const serve::CanaryResolution& res,
   dirty_ = true;
 }
 
-Status RolloutController::ScanForCandidate(TickReport* report,
-                                           bool* advanced) {
-  *advanced = false;
+Status RolloutController::ScanForCandidate(TickReport* report) {
   ckpt::CheckpointDir dir(config_.model_dir);
   for (uint64_t seq : dir.ListSeqs()) {
     if (manifest_.Find(seq) != nullptr) continue;  // already decided
@@ -296,7 +293,6 @@ Status RolloutController::ScanForCandidate(TickReport* report,
       report->events.push_back("gen " + std::to_string(seq) +
                                " bootstrapped live (mae " +
                                FormatMae(*cand_mae) + ")");
-      *advanced = true;
       return Status::OK();
     }
 
@@ -315,7 +311,6 @@ Status RolloutController::ScanForCandidate(TickReport* report,
                              " passed validation, canarying (mae " +
                              FormatMae(*cand_mae) + " vs incumbent " +
                              FormatMae(incumbent_mae_) + ")");
-    *advanced = true;
     return Status::OK();
   }
   return Status::OK();

@@ -125,10 +125,9 @@ class RolloutController {
   void ApplyResolution(const serve::CanaryResolution& res,
                        TickReport* report);
 
-  /// Runs the oldest unseen generation through the validation gate.
-  /// Returns true when a canary was started or a live model installed
-  /// (at most one per tick).
-  Status ScanForCandidate(TickReport* report, bool* advanced);
+  /// Runs the oldest unseen generation through the validation gate and
+  /// starts at most one canary or live install per tick.
+  Status ScanForCandidate(TickReport* report);
 
   /// Quarantines `generation` on disk (best effort) and in the manifest.
   void QuarantineGeneration(uint64_t generation, double probe_mae,

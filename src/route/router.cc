@@ -8,16 +8,6 @@
 #include "util/rng.h"
 
 namespace tpr::route {
-namespace {
-
-/// Well-distributed pure hash of a city id (splitmix64 finaliser via
-/// MixSeed against a fixed salt).
-uint64_t CityHash(int city_id) {
-  return MixSeed(0x524F555445ull /* "ROUTE" */,
-                 static_cast<uint64_t>(city_id));
-}
-
-}  // namespace
 
 const char* ShardStateName(ShardState s) {
   switch (s) {
@@ -45,8 +35,8 @@ Router::Router(std::vector<ShardEndpoint> shards, const RouterConfig& config)
   TPR_CHECK(config_.backoff_initial > 0);
   TPR_CHECK(config_.backoff_max >= config_.backoff_initial);
   // Canonical order: sorted by city id. Shard index is the city's rank,
-  // so the table is a pure function of the city SET — registration
-  // order never leaks into routing.
+  // so routing is a pure function of the city SET — registration order
+  // never leaks into it.
   std::sort(shards_.begin(), shards_.end(),
             [](const ShardEndpoint& a, const ShardEndpoint& b) {
               return a.city_id < b.city_id;
@@ -59,18 +49,6 @@ Router::Router(std::vector<ShardEndpoint> shards, const RouterConfig& config)
     }
   }
 
-  // Open-addressed hash table, linear probing, power-of-two size with
-  // load factor <= 0.5.
-  size_t cap = 4;
-  while (cap < shards_.size() * 2) cap <<= 1;
-  table_.assign(cap, {0, -1});
-  table_mask_ = cap - 1;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    uint64_t slot = CityHash(shards_[i].city_id) & table_mask_;
-    while (table_[slot].second >= 0) slot = (slot + 1) & table_mask_;
-    table_[slot] = {shards_[i].city_id, static_cast<int>(i)};
-  }
-
   rt_ = std::make_unique<ShardRt[]>(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
     rt_[i].metrics = obs::MetricScope(shards_[i].name + ".");
@@ -80,13 +58,11 @@ Router::Router(std::vector<ShardEndpoint> shards, const RouterConfig& config)
 }
 
 int Router::ShardForCity(int city_id) const {
-  uint64_t slot = CityHash(city_id) & table_mask_;
-  while (true) {
-    const auto& [city, idx] = table_[slot];
-    if (idx < 0) return -1;
-    if (city == city_id) return idx;
-    slot = (slot + 1) & table_mask_;
-  }
+  const auto it = std::lower_bound(
+      shards_.begin(), shards_.end(), city_id,
+      [](const ShardEndpoint& s, int city) { return s.city_id < city; });
+  if (it == shards_.end() || it->city_id != city_id) return -1;
+  return static_cast<int>(it - shards_.begin());
 }
 
 uint64_t Router::NextProbeAt(const ShardRt& rt, int city_id) const {
@@ -148,9 +124,6 @@ RoutedSubmit Router::Submit(const CityRequest& req) {
   out.shard_index = idx;
   out.shard = sh.name;
 
-  const double deadline =
-      req.deadline_ms > 0 ? req.deadline_ms : config_.default_deadline_ms;
-
   std::lock_guard<std::mutex> lock(rt.mu);
   // Logical time at this shard: every attempt — admitted, faulted, or
   // shed — advances it, so quarantine/probe schedules depend only on
@@ -186,7 +159,7 @@ RoutedSubmit Router::Submit(const CityRequest& req) {
     return out;
   }
 
-  auto admitted = sh.service->Submit(req.query, deadline);
+  auto admitted = sh.service->Submit(req.query, req.deadline_ms);
   if (!admitted.ok()) {
     // A malformed query is the caller's fault, not the shard's: it must
     // not count toward quarantine.

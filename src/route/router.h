@@ -6,10 +6,11 @@
 // The Router fronts a fleet of fault-isolated InferenceService shards,
 // one per city. Its job splits in two:
 //
-//   routing     request -> shard is a PURE HASH of the city id over the
-//               canonical (sorted) city set: the same cities always
-//               yield the same table, independent of the order shards
-//               were registered or which of N router threads asks.
+//   routing     request -> shard is the city's rank in the canonical
+//               (sorted) city set, found by binary search: the same
+//               cities always route the same way, independent of the
+//               order shards were registered or which of N router
+//               threads asks.
 //   failover    each shard carries a health state machine driven ONLY
 //               by deterministic signals — injected "route-dispatch"
 //               fault verdicts (keyed by request id, evaluated under
@@ -63,10 +64,6 @@ struct RouterConfig {
 
   /// Seeds the re-probe jitter streams.
   uint64_t seed = 31;
-
-  /// Deadline propagated to shard admission when the request carries
-  /// none (<= 0 keeps "no deadline").
-  double default_deadline_ms = 0;
 };
 
 /// One shard as the router sees it: a city, a name (also the shard's
@@ -117,7 +114,7 @@ struct ShardHealth {
 struct CityRequest {
   int city_id = 0;
   serve::PathQuery query;
-  double deadline_ms = 0;  // <= 0: RouterConfig::default_deadline_ms
+  double deadline_ms = 0;  // <= 0: no deadline
 };
 
 /// Admission outcome of one routed request.
@@ -196,10 +193,8 @@ class Router {
   uint64_t NextProbeAt(const ShardRt& rt, int city_id) const;
 
   const RouterConfig config_;
-  std::vector<ShardEndpoint> shards_;           // sorted by city_id
-  std::unique_ptr<ShardRt[]> rt_;               // parallel to shards_
-  std::vector<std::pair<int, int>> table_;      // open-addressed (city, idx)
-  uint64_t table_mask_ = 0;
+  std::vector<ShardEndpoint> shards_;  // sorted by city_id
+  std::unique_ptr<ShardRt[]> rt_;      // parallel to shards_
 };
 
 }  // namespace tpr::route

@@ -89,7 +89,8 @@ InferenceService::InferenceService(
     const core::EncoderConfig& encoder_config, const ServiceConfig& config)
     : features_(std::move(features)),
       encoder_config_(encoder_config),
-      config_(ApplyQuantEnv(config)),
+      config_(config),
+      quant_enabled_(quant::QuantEnabledFromEnv()),
       metrics_(config_.metrics_prefix),
       // BatchFormer checks batch_max, batch_ticks and time_bucket_s > 0.
       former_(FormerConfig(config_)) {
@@ -99,11 +100,6 @@ InferenceService::InferenceService(
   TPR_CHECK(config_.max_retries >= 0);
   TPR_CHECK(config_.canary_permille >= 0 && config_.canary_permille <= 1000);
   TPR_CHECK(config_.canary_promote_after > 0);
-}
-
-ServiceConfig InferenceService::ApplyQuantEnv(ServiceConfig config) {
-  if (!quant::QuantEnabledFromEnv()) config.quantized_rung = false;
-  return config;
 }
 
 InferenceService::~InferenceService() { Shutdown(); }
@@ -164,7 +160,7 @@ Status InferenceService::LoadModel(const std::string& dir) {
   // another encoder, the generation serves with the quantized rung dark
   // — never a load failure.
   std::shared_ptr<const quant::QuantizedEncoder> twin;
-  if (config_.quantized_rung) {
+  if (quant_enabled_) {
     auto model = quant::LoadQuantizedModel(dir, loaded->seq);
     // A twin of another shape would misread the feature rows or panels.
     if (model.ok() && model->generation == decoded->generation &&
@@ -186,7 +182,7 @@ std::shared_ptr<InferenceService::GenState> InferenceService::MakeGenState(
     std::shared_ptr<const quant::QuantizedEncoder> quant) const {
   auto gen = std::make_shared<GenState>();
   gen->model = std::move(encoder);
-  gen->quant = config_.quantized_rung ? std::move(quant) : nullptr;
+  gen->quant = quant_enabled_ ? std::move(quant) : nullptr;
   gen->generation = generation;
   gen->cache = std::make_unique<EmbeddingLruCache>(config_.cache_capacity);
   return gen;
@@ -645,7 +641,8 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
   // Resolve the fates decided before any encode: breaker-open skips,
   // injected scratch-alloc failures, and injected batch-flush drops (the
   // whole group degrades with no rung-0 attempt — like alloc, not a
-  // breaker signal). Everyone else queues for the batched rung-0 ladder.
+  // breaker signal). They step down at the exact request time. Everyone
+  // else queues for the batched rung-0 ladder.
   std::vector<std::vector<Request*>> pending(n_groups);
   std::vector<size_t> live;
   live.reserve(n_groups);
@@ -655,7 +652,8 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
       if (req.skip_rung0 || flush_drop ||
           fault::ShouldFail(fault::kAlloc,
                             MixSeed(kAllocSalt, req.query.id))) {
-        req.promise.set_value(DegradedLadder(req, req.BaseResult(), sw));
+        req.promise.set_value(DegradedLadder(req, req.BaseResult(),
+                                             req.query.depart_time_s, sw));
       } else {
         pending[gi].push_back(&req);
       }
@@ -779,44 +777,15 @@ void InferenceService::ProcessBatch(batch::FormedBatch& batch,
     }
   }
 
-  // Exhausted groups: every remaining member degrades. The first step
-  // down is the GROUP-LEVEL quantized rung: one int8 EncodeValueBatch
-  // per group at the group encode time, verdict keyed by the group's
-  // fault key — the whole group serves quantized or the whole group
-  // falls through together (retry/breaker/deadline semantics untouched,
-  // and never a breaker signal).
-  const int exhausted_attempts = config_.max_retries + 1;
+  // Exhausted groups: every remaining member steps down the ladder at
+  // the group encode time, so a quantized group serves every member the
+  // bytes one group encode would.
   for (size_t gi : live) {
-    GenState* gen = pending[gi].front()->gen.get();
-    if (config_.quantized_rung && gen->quant != nullptr &&
-        !fault::ShouldFail(fault::kQuantEncode, keys[gi])) {
-      const std::vector<core::PathTimeItem> items{
-          {&batch.groups[gi].path, batch.groups[gi].encode_time_s}};
-      const std::vector<std::vector<float>> encoded =
-          gen->quant->EncodeValueBatch(items);
-      for (Request* r : pending[gi]) {
-        if (r->expired()) {
-          r->promise.set_value(DeadlineResult(*r, exhausted_attempts));
-          continue;
-        }
-        metrics_.counter("serve.quant_hits").Add(1);
-        ServeResult res = r->BaseResult();
-        res.status = Status::OK();
-        res.rung = Rung::kQuantized;
-        res.attempts = exhausted_attempts;
-        res.embedding = encoded[0];
-        ObserveRungLatency(Rung::kQuantized, sw.ElapsedSeconds());
-        r->promise.set_value(std::move(res));
-      }
-      continue;
-    }
     for (Request* r : pending[gi]) {
-      // The group-level quantized attempt is settled (twin absent or
-      // quant-encode verdict failed) — the ladder must not re-try it.
-      r->quant_decided = true;
       ServeResult res = r->BaseResult();
-      res.attempts = exhausted_attempts;
-      r->promise.set_value(DegradedLadder(*r, std::move(res), sw));
+      res.attempts = config_.max_retries + 1;
+      r->promise.set_value(DegradedLadder(
+          *r, std::move(res), batch.groups[gi].encode_time_s, sw));
     }
   }
 }
@@ -831,22 +800,24 @@ ServeResult InferenceService::DeadlineResult(const Request& req,
   return result;
 }
 
-ServeResult InferenceService::DegradedLadder(Request& req, ServeResult result,
+ServeResult InferenceService::DegradedLadder(const Request& req,
+                                             ServeResult result,
+                                             int64_t quant_time_s,
                                              const Stopwatch& sw) {
   const PathQuery& q = req.query;
 
-  // Rung 1: int8-quantized twin at the EXACT request time — the cheap
-  // path that still honours the paper's departure-time conditioning.
-  // The verdict keys by the request's fault key, like rung 0. Never a
-  // breaker signal: the breaker describes the fp32 model's health.
-  if (config_.quantized_rung && req.gen->quant != nullptr &&
-      !req.quant_decided) {
+  // Rung 1: the int8-quantized twin at `quant_time_s` — the cheap path
+  // that still honours the paper's departure-time conditioning. The
+  // verdict keys by the request's fault key, like rung 0, so the members
+  // of a group share it. Never a breaker signal: the breaker describes
+  // the fp32 model's health.
+  if (req.gen->quant != nullptr) {
     if (req.expired()) return DeadlineResult(req, result.attempts);
     if (!fault::ShouldFail(fault::kQuantEncode, req.fault_key)) {
       metrics_.counter("serve.quant_hits").Add(1);
       result.status = Status::OK();
       result.rung = Rung::kQuantized;
-      result.embedding = req.gen->quant->EncodeValue(q.path, q.depart_time_s);
+      result.embedding = req.gen->quant->EncodeValue(q.path, quant_time_s);
       ObserveRungLatency(result.rung, sw.ElapsedSeconds());
       return result;
     }

@@ -17,23 +17,31 @@
 //   rung 0 (kFull)      full temporal encoder at the group encode time
 //                       (the exact request time unless coalescing)
 //   rung 1 (kQuantized) int8 post-training-quantized twin of the pinned
-//                       generation at the exact request time (or, for a
-//                       coalesced group whose rung 0 is exhausted, at the
-//                       group encode time) — keeps the temporal signal
-//                       at ~4x smaller weights
+//                       generation — keeps the temporal signal at ~4x
+//                       smaller weights
 //   rung 2 (kCached)    LRU-cached embedding keyed by (path, time bucket),
 //                       computed at the bucket-representative time
 //   rung 3 (kFallback)  node2vec mean-pool over the path's edge endpoint
 //                       embeddings, shaped to representation_dim
 //
+// One code path serves every request below rung 0, one request at a
+// time. A request that degrades before any rung-0 attempt (breaker-open
+// skip, injected alloc failure or batch-flush drop) takes rung 1 at its
+// exact request time; each member of a group whose rung-0 attempts all
+// failed takes it at the group encode time, and since an int8 row does
+// not depend on its batch (quant.h), such members get the bytes of one
+// group encode.
+//
 // The quantized rung serves only when the generation carries an int8
 // twin (published by tpr::rollout, or loaded from the quant-<seq>.q8
-// artifact beside the checkpoint) and ServiceConfig::quantized_rung is
-// on (TPR_QUANT=0/off force-disables it). Its fault site is
-// "quant-encode", keyed by the request's fault key (below), so outage
-// plans can fail rung 0 (encoder-forward) while the int8 rung keeps
-// answering — and a quant-encode fault degrades a whole coalesced group
-// at once, like batch-flush does for rung 0.
+// artifact beside the checkpoint); TPR_QUANT=0/off, read once at
+// construction, drops every twin. Its fault site is "quant-encode",
+// keyed by the request's fault key (below), so outage plans can fail
+// rung 0 (encoder-forward) while the int8 rung keeps answering, and a
+// p-mode rule fails a whole coalesced group at once, like batch-flush
+// does for rung 0. The site is asked once per degraded request, so
+// fault.quant-encode.injected counts requests, and an nth= or after=
+// rule on it counts per-request calls.
 // Quantized failures are NEVER breaker signals: the breaker describes
 // the fp32 model's health only.
 //
@@ -203,10 +211,6 @@ struct ServiceConfig {
   /// hash. Off (default), every request encodes at its exact departure
   /// time and its verdicts key by its id.
   bool batch_coalesce = false;
-  /// Serve the int8 rung when the pinned generation carries a quantized
-  /// twin. Force-disabled process-wide by TPR_QUANT=0/off (checked once
-  /// at service construction).
-  bool quantized_rung = true;
   /// Shard identity (fleet mode). Non-empty `shard` installs a
   /// fault::ScopedShard around admission, model loads, and worker
   /// processing, so `site@shard` TPR_FAULT rules can target exactly this
@@ -387,10 +391,6 @@ class InferenceService {
     // Keys every fault verdict of the request (see the header comment):
     // the id, or the group hash when coalescing. Fixed at admission.
     uint64_t fault_key = 0;
-    // The group-level quantized attempt already ran (and failed) for
-    // this request's group, so DegradedLadder must not try the rung
-    // again per-request.
-    bool quant_decided = false;
     std::promise<ServeResult> promise;
 
     bool expired() const {
@@ -454,18 +454,17 @@ class InferenceService {
   /// DeadlineExceeded outcome for `req` after `attempts` rung-0 attempts.
   ServeResult DeadlineResult(const Request& req, int attempts) const;
 
-  /// Rungs 1-3 of the ladder (quantized -> cache -> fallback). `result`
-  /// carries the identity fields and the rung-0 attempt count already
-  /// made.
-  ServeResult DegradedLadder(Request& req, ServeResult result,
-                             const Stopwatch& sw);
+  /// Rungs 1-3 of the ladder (quantized -> cache -> fallback): the only
+  /// code that serves a request below rung 0. Rung 1 encodes at
+  /// `quant_time_s`: the request's exact time before any rung-0 attempt,
+  /// its group's encode time after rung 0 is exhausted. `result` carries
+  /// the identity fields and the rung-0 attempt count already made.
+  ServeResult DegradedLadder(const Request& req, ServeResult result,
+                             int64_t quant_time_s, const Stopwatch& sw);
 
   /// InvalidArgument for an empty path or an edge id outside
   /// [0, num_edges) of the served city.
   Status ValidateQuery(const PathQuery& query) const;
-
-  /// Resolves TPR_QUANT against the configured quantized_rung flag.
-  static ServiceConfig ApplyQuantEnv(ServiceConfig config);
 
   /// Per-rung latency histogram, resolved through this instance's
   /// metric scope.
@@ -480,6 +479,7 @@ class InferenceService {
   std::shared_ptr<const core::FeatureSpace> features_;
   const core::EncoderConfig encoder_config_;
   const ServiceConfig config_;
+  const bool quant_enabled_;  // TPR_QUANT at construction; off drops twins
   const obs::MetricScope metrics_;  // prefix = config_.metrics_prefix
 
   mutable std::mutex mu_;  // batches + tickets + generation slots/breakers

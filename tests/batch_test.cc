@@ -569,6 +569,11 @@ TEST_F(BatchTest, QuantEncodeFaultDegradesTheWholeGroupTogether) {
 TEST_F(BatchTest, BatchFlushDropLandsOnTheQuantRungWhenTheTwinIsHealthy) {
   serve::ServiceConfig cfg = BatchedService();
   cfg.num_workers = 1;
+  // A bucket two temporal slots wide, so two queries of one coalesced
+  // group can depart in different slots and encode differently.
+  const int64_t slot_s =
+      24 * 3600 / features()->config.temporal_graph.slots_per_day;
+  cfg.time_bucket_s = 2 * slot_s;
   auto encoder =
       std::make_shared<TemporalPathEncoder>(features(), TinyEncoder());
   auto twin = MakeTwin(*encoder, 1);
@@ -582,6 +587,77 @@ TEST_F(BatchTest, BatchFlushDropLandsOnTheQuantRungWhenTheTwinIsHealthy) {
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.rung, serve::Rung::kQuantized);
   EXPECT_EQ(r.attempts, 0) << "batch-flush makes no rung-0 attempt";
+
+  // Two coalesced queries off the bucket boundary, one slot apart: a
+  // group dropped before any encode serves each member at its own
+  // departure time, not at the group encode time.
+  serve::PathQuery q1 = Query(0, 421);
+  const int64_t bucket_start =
+      (q1.depart_time_s / cfg.time_bucket_s) * cfg.time_bucket_s;
+  q1.depart_time_s = bucket_start + slot_s / 2;
+  serve::PathQuery q2 = q1;
+  q2.id = 422;
+  q2.depart_time_s = bucket_start + slot_s + slot_s / 2;
+  auto f1 = svc.Submit(q1);
+  auto f2 = svc.Submit(q2);
+  ASSERT_TRUE(f1.ok());
+  ASSERT_TRUE(f2.ok());
+  serve::ServeResult r1 = f1->get();
+  serve::ServeResult r2 = f2->get();
+  ASSERT_TRUE(r1.status.ok()) << r1.status.ToString();
+  ASSERT_TRUE(r2.status.ok()) << r2.status.ToString();
+  EXPECT_EQ(r1.rung, serve::Rung::kQuantized);
+  EXPECT_EQ(r2.rung, serve::Rung::kQuantized);
+  EXPECT_EQ(r1.embedding, twin->EncodeValue(q1.path, q1.depart_time_s));
+  EXPECT_EQ(r2.embedding, twin->EncodeValue(q2.path, q2.depart_time_s));
+  EXPECT_NE(r1.embedding, r2.embedding)
+      << "pre-encode fates must keep each request's exact time";
+  svc.Shutdown();
+}
+
+TEST_F(BatchTest, ExhaustedGroupServesTheQuantRungAtTheGroupEncodeTime) {
+  serve::ServiceConfig cfg = BatchedService();
+  cfg.num_workers = 1;
+  cfg.breaker_trip_threshold = 1000;
+  const int64_t slot_s =
+      24 * 3600 / features()->config.temporal_graph.slots_per_day;
+  cfg.time_bucket_s = 2 * slot_s;
+  auto encoder =
+      std::make_shared<TemporalPathEncoder>(features(), TinyEncoder());
+  auto twin = MakeTwin(*encoder, 1);
+  ASSERT_NE(twin, nullptr);
+  serve::InferenceService svc(features(), TinyEncoder(), cfg);
+  svc.InstallModel(encoder, 1, twin);
+  ASSERT_TRUE(svc.Start().ok());
+  Install("encoder-forward:p=1");
+
+  // The same pair of queries after every rung-0 attempt failed: both
+  // step down at the bucket-representative time, the time rung 0 tried,
+  // even the member whose own slot would encode differently.
+  serve::PathQuery q1 = Query(0, 430);
+  const int64_t bucket_start =
+      (q1.depart_time_s / cfg.time_bucket_s) * cfg.time_bucket_s;
+  q1.depart_time_s = bucket_start + slot_s / 2;
+  serve::PathQuery q2 = q1;
+  q2.id = 431;
+  q2.depart_time_s = bucket_start + slot_s + slot_s / 2;
+  auto f1 = svc.Submit(q1);
+  auto f2 = svc.Submit(q2);
+  ASSERT_TRUE(f1.ok());
+  ASSERT_TRUE(f2.ok());
+  serve::ServeResult r1 = f1->get();
+  serve::ServeResult r2 = f2->get();
+  ASSERT_TRUE(r1.status.ok()) << r1.status.ToString();
+  ASSERT_TRUE(r2.status.ok()) << r2.status.ToString();
+  EXPECT_EQ(r1.rung, serve::Rung::kQuantized);
+  EXPECT_EQ(r2.rung, serve::Rung::kQuantized);
+  EXPECT_EQ(r1.attempts, 1 + cfg.max_retries);
+  EXPECT_EQ(r2.attempts, 1 + cfg.max_retries);
+  const std::vector<float> at_group = twin->EncodeValue(q1.path, bucket_start);
+  EXPECT_EQ(r1.embedding, at_group);
+  EXPECT_EQ(r2.embedding, at_group);
+  EXPECT_NE(r2.embedding, twin->EncodeValue(q2.path, q2.depart_time_s))
+      << "the second query's own slot must encode differently";
   svc.Shutdown();
 }
 
