@@ -72,8 +72,9 @@ int main(int argc, char** argv) {
     PreparedCity city = PrepareCity(preset);
     std::fprintf(stderr, "[bench] === %s: pre-training WSCCL ===\n",
                  city.name.c_str());
-    auto wsccl = core::WsccalPipeline::Train(city.features,
-                                             DefaultWsccalConfig());
+    core::WsccalConfig cfg = DefaultWsccalConfig();
+    cfg.ckpt_dir = CkptDirFor(city, cfg);
+    auto wsccl = core::WsccalPipeline::Train(city.features, cfg);
     TPR_CHECK(wsccl.ok()) << wsccl.status().ToString();
     const auto& encoder = (*wsccl)->model().encoder();
 

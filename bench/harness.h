@@ -19,6 +19,9 @@
 //                      written to this path at process exit.
 //   TPR_COMMIT       — commit id stamped into the JSON record (CI sets
 //                      this from GITHUB_SHA; empty otherwise).
+//   TPR_CKPT_DIR     — checkpoint root of WSCCL training: each (city,
+//                      config) trains under its own subdirectory and
+//                      resumes from it (see CkptDirFor).
 //   TPR_MODEL_REGISTRY — directory of cached trained models. When set,
 //                      TrainAndScoreWsccl first tries to load the
 //                      checkpoint keyed by (city, config fingerprint,
@@ -275,29 +278,35 @@ inline std::string RegistryKey(const std::string& city_name,
          scale + ".tpr";
 }
 
+/// Checkpoint directory of a (city, config) training run:
+/// $TPR_CKPT_DIR/<registry key> when TPR_CKPT_DIR is set, else empty (no
+/// checkpoints). Benches train several cities/variants per run; each
+/// needs its own directory or the trainer would (correctly) refuse the
+/// previous model's checkpoint.
+inline std::string CkptDirFor(const PreparedCity& city,
+                              const core::WsccalConfig& config) {
+  const char* env = std::getenv("TPR_CKPT_DIR");
+  if (env == nullptr || *env == '\0') return "";
+  return std::string(env) + "/" + RegistryKey(city.name, config);
+}
+
 /// Trains WSCCL (or a variant) and evaluates all downstream tasks. The
 /// per-city training time, final loss, and headline scores land in the
 /// bench JSON record. With TPR_MODEL_REGISTRY set, a cached trained
 /// model is loaded instead of retraining (and stored after a fresh
-/// train); smoke runs additionally write periodic checkpoints to a
-/// per-process temp dir so the save path is exercised and measured.
+/// train); smoke runs without TPR_CKPT_DIR write periodic checkpoints
+/// to a per-process temp dir so the save path is exercised and measured.
 inline eval::TaskScores TrainAndScoreWsccl(const PreparedCity& city,
                                            const core::WsccalConfig& config) {
   core::WsccalConfig cfg = config;
   const std::string key = RegistryKey(city.name, cfg);
-  if (cfg.ckpt_dir.empty()) {
-    if (const char* env = std::getenv("TPR_CKPT_DIR")) {
-      // Benches train several cities/variants per run; each needs its
-      // own checkpoint directory or the trainer would (correctly)
-      // refuse the previous model's fingerprint.
-      cfg.ckpt_dir = std::string(env) + "/" + key;
-    } else if (Smoke()) {
-      // Fresh per process, so reruns never resume and results stay
-      // identical to an uncheckpointed run.
-      cfg.ckpt_dir = std::filesystem::temp_directory_path().string() +
-                     "/tpr-smoke-ckpt-" + std::to_string(::getpid()) + "/" +
-                     key;
-    }
+  if (cfg.ckpt_dir.empty()) cfg.ckpt_dir = CkptDirFor(city, cfg);
+  if (cfg.ckpt_dir.empty() && Smoke()) {
+    // Fresh per process, so reruns never resume and results stay
+    // identical to an uncheckpointed run.
+    cfg.ckpt_dir = std::filesystem::temp_directory_path().string() +
+                   "/tpr-smoke-ckpt-" + std::to_string(::getpid()) + "/" +
+                   key;
   }
 
   std::unique_ptr<core::WsccalPipeline> model;
@@ -312,6 +321,10 @@ inline eval::TaskScores TrainAndScoreWsccl(const PreparedCity& city,
           payload.ok()
               ? core::WsccalPipeline::Deserialize(city.features, cfg, *payload)
               : payload.status();
+      if (cached.ok() && !(*cached)->completed()) {
+        cached = Status::FailedPrecondition(
+            "entry holds a partially trained pipeline");
+      }
       if (cached.ok()) {
         model = std::move(*cached);
         Record(city.name + ".wsccl.registry_load_seconds",

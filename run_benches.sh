@@ -145,6 +145,26 @@ if [ "$smoke" = true ]; then
     echo "[suite] FAILED: fig7 output differs between 1 and 4 threads" >&2
     fail=1
   fi
+  # Under TPR_CKPT_DIR every city trains in its own subdirectory: a run
+  # on a fresh directory, and a rerun over it that resumes each city's
+  # own completed checkpoint, must both print the 4-thread run's bytes.
+  echo "[suite] fig7 under TPR_CKPT_DIR: fresh, then resumed" >&2
+  ckdir=$(mktemp -d)
+  if TPR_THREADS=4 TPR_CKPT_DIR=$ckdir "$bindir/bench_fig7_pretraining" \
+        --smoke > "$outdir/bench_fig7_pretraining.ckpt.out" 2>/dev/null \
+      && cmp -s "$outdir/bench_fig7_pretraining.t4.out" \
+                "$outdir/bench_fig7_pretraining.ckpt.out" \
+      && TPR_THREADS=4 TPR_CKPT_DIR=$ckdir \
+        "$bindir/bench_fig7_pretraining" --smoke \
+        > "$outdir/bench_fig7_pretraining.resume.out" 2>/dev/null \
+      && cmp -s "$outdir/bench_fig7_pretraining.t4.out" \
+                "$outdir/bench_fig7_pretraining.resume.out"; then
+    echo "[suite] fig7 output identical on fresh and resumed checkpoints" >&2
+  else
+    echo "[suite] FAILED: fig7 output changes under TPR_CKPT_DIR" >&2
+    fail=1
+  fi
+  rm -rf "$ckdir"
   # Fleet shard-scaling floor: 3 single-worker shards behind the router
   # must deliver >= 2.4x the batched req/s of 1 shard (the median ratio
   # of 3 interleaved 1-shard/3-shard pairs). The degraded

@@ -5,66 +5,23 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/serialize.h"
 #include "core/features.h"
-#include "nn/autograd.h"
 #include "synth/dataset.h"
 #include "util/status.h"
 
 namespace tpr::baselines {
 
-/// Checkpointable-state interface shared by every baseline model —
-/// both the path-representation methods and the edge-level travel-time
-/// predictors. SaveBaseline/LoadBaseline round-trip a trained model
-/// through these accessors.
-class BaselineState {
- public:
-  virtual ~BaselineState() = default;
-
-  /// Human-readable method name as printed in the result tables.
-  virtual std::string name() const = 0;
-
-  /// Trained parameter tensors that define the model's state, as shared
-  /// Var handles in a fixed order. Empty for models with nothing
-  /// trainable (e.g. Node2vec, whose embeddings live in the feature
-  /// space).
-  virtual std::vector<nn::Var> StateParams() const { return {}; }
-
-  /// Non-parameter trained state — memory banks, frozen embedding
-  /// matrices, normalisation constants — as value tensors in a fixed
-  /// order matching SetExtraState().
-  virtual std::vector<nn::Tensor> ExtraState() const { return {}; }
-
-  /// Restores state produced by ExtraState(). The default (for models
-  /// without extra state) accepts only an empty list.
-  virtual Status SetExtraState(std::vector<nn::Tensor> state) {
-    if (!state.empty()) {
-      return Status::FailedPrecondition(name() +
-                                        " checkpoint has unexpected state");
-    }
-    return Status::OK();
-  }
-
-  /// Double-precision trained scalars (e.g. target normalisation) that
-  /// would lose bits if forced through the float32 tensor channel.
-  virtual std::vector<double> ExtraScalars() const { return {}; }
-
-  /// Restores scalars produced by ExtraScalars().
-  virtual Status SetExtraScalars(const std::vector<double>& scalars) {
-    if (!scalars.empty()) {
-      return Status::FailedPrecondition(name() +
-                                        " checkpoint has unexpected scalars");
-    }
-    return Status::OK();
-  }
-};
-
 /// Common interface for all comparison methods of Section VII-A-3. Each
 /// model is trained on its required signal (unlabeled paths for the
 /// unsupervised ones, a labeled primary task for the supervised ones) and
 /// then produces frozen path representations for the downstream probes.
-class PathRepresentationModel : public BaselineState {
+class PathRepresentationModel {
  public:
+  virtual ~PathRepresentationModel() = default;
+
+  /// Human-readable method name as printed in the result tables.
+  virtual std::string name() const = 0;
+
   /// Trains the model. Unsupervised methods use data.unlabeled; supervised
   /// ones use the training portion of data.labeled.
   virtual Status Train() = 0;
@@ -73,15 +30,6 @@ class PathRepresentationModel : public BaselineState {
   virtual std::vector<float> Encode(
       const synth::TemporalPathSample& sample) const = 0;
 };
-
-/// Serializes a trained baseline's state (name tag + parameter values +
-/// extra state) through its State accessors.
-Status SaveBaseline(const BaselineState& model, ckpt::Writer& w);
-
-/// Restores state written by SaveBaseline into a model of the same
-/// method and architecture. Name or shape mismatches are a
-/// FailedPrecondition; the model is untouched on tag/name errors.
-Status LoadBaseline(BaselineState& model, ckpt::Reader& r);
 
 }  // namespace tpr::baselines
 

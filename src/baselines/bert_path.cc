@@ -103,12 +103,4 @@ std::vector<float> BertPathModel::Encode(
                             rep.value().data() + rep.value().size());
 }
 
-std::vector<nn::Var> BertPathModel::StateParams() const {
-  std::vector<nn::Var> params = token_emb_->Parameters();
-  for (const auto& p : output_emb_->Parameters()) params.push_back(p);
-  for (const auto& p : gru_->Parameters()) params.push_back(p);
-  for (const auto& p : out_proj_->Parameters()) params.push_back(p);
-  return params;
-}
-
 }  // namespace tpr::baselines

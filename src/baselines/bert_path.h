@@ -37,8 +37,6 @@ class BertPathModel : public PathRepresentationModel {
   std::vector<float> Encode(
       const synth::TemporalPathSample& sample) const override;
 
-  std::vector<nn::Var> StateParams() const override;
-
  private:
   /// GRU states for a path with some positions replaced by the mask token.
   nn::Var HiddenStates(const graph::Path& path,

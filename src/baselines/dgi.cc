@@ -116,27 +116,4 @@ std::vector<float> DgiModel::Encode(
   return rep;
 }
 
-std::vector<nn::Var> DgiModel::StateParams() const {
-  std::vector<nn::Var> params = gcn_weight_->Parameters();
-  for (const auto& p : discriminator_->Parameters()) params.push_back(p);
-  return params;
-}
-
-std::vector<nn::Tensor> DgiModel::ExtraState() const {
-  return {node_embeddings_};
-}
-
-Status DgiModel::SetExtraState(std::vector<nn::Tensor> state) {
-  if (state.size() != 1) {
-    return Status::FailedPrecondition(
-        "DGI checkpoint must hold exactly the node-embedding table");
-  }
-  if (!state[0].empty() && state[0].rows() != adjacency_.rows()) {
-    return Status::FailedPrecondition(
-        "DGI node-embedding table does not match the road network");
-  }
-  node_embeddings_ = std::move(state[0]);
-  return Status::OK();
-}
-
 }  // namespace tpr::baselines

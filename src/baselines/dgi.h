@@ -32,10 +32,6 @@ class DgiModel : public PathRepresentationModel {
   std::vector<float> Encode(
       const synth::TemporalPathSample& sample) const override;
 
-  std::vector<nn::Var> StateParams() const override;
-  std::vector<nn::Tensor> ExtraState() const override;
-  Status SetExtraState(std::vector<nn::Tensor> state) override;
-
  protected:
   /// GCN forward over (optionally corrupted) features.
   nn::Var EncodeNodes(const nn::Var& x) const;

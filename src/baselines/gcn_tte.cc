@@ -280,61 +280,4 @@ double StgcnTteModel::PredictTravelTime(const graph::Path& path,
   return total;
 }
 
-std::vector<nn::Var> GcnTteModel::StateParams() const {
-  std::vector<nn::Var> params = layer1_->Parameters();
-  for (const auto& p : layer2_->Parameters()) params.push_back(p);
-  return params;
-}
-
-std::vector<nn::Tensor> GcnTteModel::ExtraState() const {
-  return {nn::Tensor::RowVector(edge_times_)};
-}
-
-Status GcnTteModel::SetExtraState(std::vector<nn::Tensor> state) {
-  if (state.size() != 1 ||
-      state[0].size() != static_cast<size_t>(adjacency_.rows())) {
-    return Status::FailedPrecondition(
-        "GCN checkpoint must hold one travel time per edge");
-  }
-  edge_times_.assign(state[0].data(), state[0].data() + state[0].size());
-  return Status::OK();
-}
-
-std::vector<nn::Var> StgcnTteModel::StateParams() const {
-  std::vector<nn::Var> params = layer1_->Parameters();
-  for (const auto& p : layer2_->Parameters()) params.push_back(p);
-  for (const auto& p : time_emb_->Parameters()) params.push_back(p);
-  for (const auto& p : out_->Parameters()) params.push_back(p);
-  return params;
-}
-
-std::vector<nn::Tensor> StgcnTteModel::ExtraState() const {
-  const int rows = static_cast<int>(edge_times_by_bucket_.size());
-  const int cols = rows == 0 ? 0 : static_cast<int>(
-                                       edge_times_by_bucket_[0].size());
-  nn::Tensor table(rows, cols);
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) table.at(r, c) = edge_times_by_bucket_[r][c];
-  }
-  return {table};
-}
-
-Status StgcnTteModel::SetExtraState(std::vector<nn::Tensor> state) {
-  if (state.size() != 1 ||
-      (state[0].rows() != 0 && state[0].rows() != config_.time_buckets) ||
-      (state[0].rows() != 0 && state[0].cols() != adjacency_.rows())) {
-    return Status::FailedPrecondition(
-        "STGCN checkpoint must hold a (buckets x edges) travel-time table");
-  }
-  const nn::Tensor& table = state[0];
-  edge_times_by_bucket_.assign(table.rows(),
-                               std::vector<float>(table.cols()));
-  for (int r = 0; r < table.rows(); ++r) {
-    for (int c = 0; c < table.cols(); ++c) {
-      edge_times_by_bucket_[r][c] = table.at(r, c);
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace tpr::baselines

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/baseline.h"
 #include "core/features.h"
 #include "nn/modules.h"
 #include "util/status.h"
@@ -17,8 +16,13 @@ namespace tpr::baselines {
 /// "GCNs and STGCNs cannot work as baselines for the ranking and
 /// recommendation tasks") — they only predict a path's travel time as the
 /// sum of predicted edge travel times.
-class EdgeTravelTimePredictor : public BaselineState {
+class EdgeTravelTimePredictor {
  public:
+  virtual ~EdgeTravelTimePredictor() = default;
+
+  /// Human-readable method name as printed in the result tables.
+  virtual std::string name() const = 0;
+
   /// Trains on the labeled training split. Per-edge targets are derived
   /// from path observations by distributing each path's travel time over
   /// its edges proportionally to edge length.
@@ -50,10 +54,6 @@ class GcnTteModel : public EdgeTravelTimePredictor {
   Status Train(const std::vector<int>& train_indices) override;
   double PredictTravelTime(const graph::Path& path,
                            int64_t depart_time_s) const override;
-
-  std::vector<nn::Var> StateParams() const override;
-  std::vector<nn::Tensor> ExtraState() const override;
-  Status SetExtraState(std::vector<nn::Tensor> state) override;
 
  private:
   std::shared_ptr<const core::FeatureSpace> features_;
@@ -87,10 +87,6 @@ class StgcnTteModel : public EdgeTravelTimePredictor {
   Status Train(const std::vector<int>& train_indices) override;
   double PredictTravelTime(const graph::Path& path,
                            int64_t depart_time_s) const override;
-
-  std::vector<nn::Var> StateParams() const override;
-  std::vector<nn::Tensor> ExtraState() const override;
-  Status SetExtraState(std::vector<nn::Tensor> state) override;
 
  private:
   int BucketOf(int64_t depart_time_s) const;

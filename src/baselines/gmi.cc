@@ -84,27 +84,4 @@ std::vector<float> GmiModel::Encode(
   return rep;
 }
 
-std::vector<nn::Var> GmiModel::StateParams() const {
-  std::vector<nn::Var> params = gcn_weight_->Parameters();
-  for (const auto& p : feature_proj_->Parameters()) params.push_back(p);
-  return params;
-}
-
-std::vector<nn::Tensor> GmiModel::ExtraState() const {
-  return {node_embeddings_};
-}
-
-Status GmiModel::SetExtraState(std::vector<nn::Tensor> state) {
-  if (state.size() != 1) {
-    return Status::FailedPrecondition(
-        "GMI checkpoint must hold exactly the node-embedding table");
-  }
-  if (!state[0].empty() && state[0].rows() != adjacency_.rows()) {
-    return Status::FailedPrecondition(
-        "GMI node-embedding table does not match the road network");
-  }
-  node_embeddings_ = std::move(state[0]);
-  return Status::OK();
-}
-
 }  // namespace tpr::baselines

@@ -33,10 +33,6 @@ class GmiModel : public PathRepresentationModel {
   std::vector<float> Encode(
       const synth::TemporalPathSample& sample) const override;
 
-  std::vector<nn::Var> StateParams() const override;
-  std::vector<nn::Tensor> ExtraState() const override;
-  Status SetExtraState(std::vector<nn::Tensor> state) override;
-
  private:
   std::shared_ptr<const core::FeatureSpace> features_;
   Config config_;

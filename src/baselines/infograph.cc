@@ -94,10 +94,4 @@ std::vector<float> InfoGraphModel::Encode(
                             g.value().data() + g.value().size());
 }
 
-std::vector<nn::Var> InfoGraphModel::StateParams() const {
-  std::vector<nn::Var> params = local_encoder_->Parameters();
-  for (const auto& p : global_proj_->Parameters()) params.push_back(p);
-  return params;
-}
-
 }  // namespace tpr::baselines

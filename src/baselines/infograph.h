@@ -35,8 +35,6 @@ class InfoGraphModel : public PathRepresentationModel {
   std::vector<float> Encode(
       const synth::TemporalPathSample& sample) const override;
 
-  std::vector<nn::Var> StateParams() const override;
-
  private:
   nn::Var LocalReps(const graph::Path& path) const;
 

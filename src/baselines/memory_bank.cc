@@ -89,31 +89,4 @@ std::vector<float> MemoryBankModel::Encode(
                             rep.value().data() + rep.value().size());
 }
 
-std::vector<nn::Var> MemoryBankModel::StateParams() const {
-  return lstm_->Parameters();
-}
-
-std::vector<nn::Tensor> MemoryBankModel::ExtraState() const {
-  const int rows = static_cast<int>(bank_.size());
-  const int cols = bank_.empty() ? 0 : static_cast<int>(bank_[0].size());
-  nn::Tensor bank(rows, cols);
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) bank.at(r, c) = bank_[r][c];
-  }
-  return {bank};
-}
-
-Status MemoryBankModel::SetExtraState(std::vector<nn::Tensor> state) {
-  if (state.size() != 1) {
-    return Status::FailedPrecondition(
-        "MB checkpoint must hold exactly the memory bank");
-  }
-  const nn::Tensor& bank = state[0];
-  bank_.assign(bank.rows(), std::vector<float>(bank.cols()));
-  for (int r = 0; r < bank.rows(); ++r) {
-    for (int c = 0; c < bank.cols(); ++c) bank_[r][c] = bank.at(r, c);
-  }
-  return Status::OK();
-}
-
 }  // namespace tpr::baselines

@@ -35,10 +35,6 @@ class MemoryBankModel : public PathRepresentationModel {
   std::vector<float> Encode(
       const synth::TemporalPathSample& sample) const override;
 
-  std::vector<nn::Var> StateParams() const override;
-  std::vector<nn::Tensor> ExtraState() const override;
-  Status SetExtraState(std::vector<nn::Tensor> state) override;
-
  private:
   nn::Var EncodePath(const graph::Path& path) const;
 

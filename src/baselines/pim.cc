@@ -144,8 +144,4 @@ std::vector<float> PimTemporalModel::Encode(
   return rep;
 }
 
-std::vector<nn::Var> PimModel::StateParams() const {
-  return lstm_->Parameters();
-}
-
 }  // namespace tpr::baselines

@@ -36,8 +36,6 @@ class PimModel : public PathRepresentationModel {
   std::vector<float> Encode(
       const synth::TemporalPathSample& sample) const override;
 
-  std::vector<nn::Var> StateParams() const override;
-
  protected:
   /// (T x hidden) local edge representations of a path.
   nn::Var LocalReps(const graph::Path& path) const;

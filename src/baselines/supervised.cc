@@ -41,6 +41,12 @@ Status SupervisedBase::InitEncoderFrom(
   return encoder_->CopyParamsFrom(pretrained);
 }
 
+std::vector<nn::Var> SupervisedBase::Parameters() const {
+  std::vector<nn::Var> params = encoder_->Parameters();
+  for (const auto& p : HeadParameters()) params.push_back(p);
+  return params;
+}
+
 Status SupervisedBase::Train() {
   if (train_indices_.empty()) {
     return Status::InvalidArgument("no supervised training samples");
@@ -58,9 +64,7 @@ Status SupervisedBase::Train() {
   target_std_ = std::sqrt(
       std::max(1e-6, sum2 / train_indices_.size() - target_mean_ * target_mean_));
 
-  std::vector<nn::Var> params = encoder_->Parameters();
-  auto hp = HeadParameters();
-  params.insert(params.end(), hp.begin(), hp.end());
+  const std::vector<nn::Var> params = Parameters();
   nn::Adam opt(params, config_.lr);
   nn::GradAccumulator accumulator(params);
 
@@ -251,26 +255,6 @@ std::vector<nn::Var> DeepGttModel::HeadParameters() const {
   auto l = lambda_head_->Parameters();
   p.insert(p.end(), l.begin(), l.end());
   return p;
-}
-
-std::vector<nn::Var> SupervisedBase::StateParams() const {
-  std::vector<nn::Var> params = encoder_->Parameters();
-  for (const auto& p : HeadParameters()) params.push_back(p);
-  return params;
-}
-
-std::vector<double> SupervisedBase::ExtraScalars() const {
-  return {target_mean_, target_std_};
-}
-
-Status SupervisedBase::SetExtraScalars(const std::vector<double>& scalars) {
-  if (scalars.size() != 2) {
-    return Status::FailedPrecondition(
-        name() + " checkpoint must hold the {mean, std} target normalisation");
-  }
-  target_mean_ = scalars[0];
-  target_std_ = scalars[1];
-  return Status::OK();
 }
 
 }  // namespace tpr::baselines

@@ -54,11 +54,8 @@ class SupervisedBase : public PathRepresentationModel {
     train_indices_ = std::move(indices);
   }
 
-  /// Encoder + head parameters, plus the fitted target normalisation as
-  /// extra scalars, so a checkpointed supervised model predicts exactly.
-  std::vector<nn::Var> StateParams() const override;
-  std::vector<double> ExtraScalars() const override;
-  Status SetExtraScalars(const std::vector<double>& scalars) override;
+  /// Encoder + head parameters: what Train() optimizes.
+  std::vector<nn::Var> Parameters() const;
 
  protected:
   /// Loss of one sample given its encoder TPR; subclasses define heads.

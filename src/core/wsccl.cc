@@ -1,8 +1,6 @@
 #include "core/wsccl.h"
 
-#include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -20,12 +18,27 @@ namespace tpr::core {
 namespace {
 
 constexpr char kPipelineTag[] = "wsccl-pipeline";
-constexpr uint32_t kPipelineVersion = 1;
+// Version 2 added the fingerprint of the unlabeled pool the stage
+// indices point into.
+constexpr uint32_t kPipelineVersion = 2;
 
 uint64_t FloatBits(float x) {
   uint32_t b = 0;
   std::memcpy(&b, &x, sizeof b);
   return b;
+}
+
+/// Deterministic content fingerprint of an unlabeled pool: a payload's
+/// stage indices mean nothing on any other pool.
+uint64_t PoolFingerprint(const synth::CityDataset& data) {
+  uint64_t h = MixSeed(0xD21F7A5EULL, data.unlabeled.size());
+  for (const auto& s : data.unlabeled) {
+    h = MixSeed(h, static_cast<uint64_t>(s.depart_time_s));
+    for (int e : s.path) {
+      h = MixSeed(h, static_cast<uint64_t>(static_cast<uint32_t>(e)) + 1);
+    }
+  }
+  return h;
 }
 
 }  // namespace
@@ -66,11 +79,16 @@ uint64_t WsccalPipeline::ConfigFingerprint(const WsccalConfig& config) {
   return h;
 }
 
+WsccalPipeline::WsccalPipeline(const FeatureSpace& features,
+                               const WsccalConfig& config)
+    : config_(config), pool_fingerprint_(PoolFingerprint(*features.data)) {}
+
 std::string WsccalPipeline::BuildPayload() const {
   ckpt::Writer w;
   w.Str(kPipelineTag);
   w.U32(kPipelineVersion);
   w.U64(ConfigFingerprint(config_));
+  w.U64(pool_fingerprint_);
   w.U8(completed_ ? 1 : 0);
   w.I32(next_stage_);
   w.I32(next_epoch_);
@@ -84,6 +102,10 @@ std::string WsccalPipeline::BuildPayload() const {
   const Status st = model_->SaveState(w);
   TPR_CHECK(st.ok()) << st.ToString();
   return w.TakeBytes();
+}
+
+StatusOr<std::string> WsccalPipeline::Serialize() const {
+  return BuildPayload();
 }
 
 Status WsccalPipeline::RestorePayload(std::string_view payload) {
@@ -106,6 +128,13 @@ Status WsccalPipeline::RestorePayload(std::string_view payload) {
     return Status::FailedPrecondition(
         "checkpoint was trained under a different WSCCL configuration; "
         "refusing to resume");
+  }
+  uint64_t pool = 0;
+  TPR_RETURN_IF_ERROR(r.U64(&pool));
+  if (pool != pool_fingerprint_) {
+    return Status::FailedPrecondition(
+        "checkpoint was trained on a different unlabeled pool; refusing to "
+        "resume");
   }
   uint8_t completed = 0;
   TPR_RETURN_IF_ERROR(r.U8(&completed));
@@ -142,56 +171,108 @@ Status WsccalPipeline::RestorePayload(std::string_view payload) {
   return model_->LoadState(r);
 }
 
-StatusOr<std::string> WsccalPipeline::Serialize() const {
-  if (!completed_) {
-    return Status::FailedPrecondition(
-        "cannot serialize a partially trained pipeline");
-  }
-  return BuildPayload();
-}
-
 StatusOr<std::unique_ptr<WsccalPipeline>> WsccalPipeline::Deserialize(
     std::shared_ptr<const FeatureSpace> features, const WsccalConfig& config,
     std::string_view payload) {
   if (features == nullptr) return Status::InvalidArgument("null features");
-  auto pipeline = std::unique_ptr<WsccalPipeline>(new WsccalPipeline());
-  pipeline->config_ = config;
+  auto pipeline =
+      std::unique_ptr<WsccalPipeline>(new WsccalPipeline(*features, config));
   pipeline->model_ = std::make_unique<WscModel>(features, config.wsc);
   TPR_RETURN_IF_ERROR(pipeline->RestorePayload(payload));
-  if (!pipeline->completed_) {
-    return Status::FailedPrecondition(
-        "checkpoint describes an unfinished training run");
-  }
   return pipeline;
+}
+
+StatusOr<std::unique_ptr<WsccalPipeline>> WsccalPipeline::Start(
+    std::shared_ptr<const FeatureSpace> features, const WsccalConfig& config) {
+  if (features == nullptr) return Status::InvalidArgument("null features");
+  const auto& pool = features->data->unlabeled;
+  if (pool.empty()) return Status::InvalidArgument("empty unlabeled pool");
+  std::vector<int> all(pool.size());
+  std::iota(all.begin(), all.end(), 0);
+  auto pipeline =
+      std::unique_ptr<WsccalPipeline>(new WsccalPipeline(*features, config));
+  StatusOr<std::vector<std::vector<int>>> stages = [&] {
+    obs::ScopedSpan span("wsccl.build_curriculum");
+    return BuildCurriculum(features, config.wsc, config.curriculum, all);
+  }();
+  if (!stages.ok()) return stages.status();
+  pipeline->stages_ = std::move(*stages);
+  pipeline->model_ = std::make_unique<WscModel>(features, config.wsc);
+  pipeline->completed_ = pipeline->NextEpoch().first >
+                         static_cast<int>(pipeline->stages_.size());
+  return pipeline;
+}
+
+bool WsccalPipeline::HasEpoch(int s, int epoch) const {
+  const bool final_stage = s == static_cast<int>(stages_.size());
+  const size_t size = final_stage ? model_->features().data->unlabeled.size()
+                                  : stages_[s].size();
+  return size > 0 &&
+         epoch < (final_stage ? config_.final_epochs : config_.stage_epochs);
+}
+
+std::pair<int, int> WsccalPipeline::NextEpoch() const {
+  int s = next_stage_;
+  int epoch = next_epoch_;
+  while (s <= static_cast<int>(stages_.size()) && !HasEpoch(s, epoch)) {
+    ++s;
+    epoch = 0;
+  }
+  return {s, epoch};
+}
+
+StatusOr<size_t> WsccalPipeline::RunEpoch() {
+  // Stages ST_1..ST_M easy to hard (Section VI-C), then the final
+  // full-data stage ST_{M+1}.
+  const int num_stages = static_cast<int>(stages_.size());
+  const auto [s, epoch] = NextEpoch();
+  if (s > num_stages) {
+    return Status::FailedPrecondition("the training schedule is complete");
+  }
+  const bool final_stage = s == num_stages;
+  std::vector<int> all;
+  if (final_stage) {
+    all.resize(model_->features().data->unlabeled.size());
+    std::iota(all.begin(), all.end(), 0);
+  }
+  const std::vector<int>& indices = final_stage ? all : stages_[s];
+  obs::ScopedSpan span(final_stage ? "wsccl.final_stage" : "wsccl.stage",
+                       "stage", static_cast<double>(s));
+  auto loss = model_->TrainEpoch(indices);
+  if (!loss.ok()) return loss.status();
+  ++global_epoch_;
+  final_loss_ = *loss;
+  // The cursor names the NEXT epoch to run, so a checkpoint written now
+  // resumes directly after this epoch.
+  if (HasEpoch(s, epoch + 1)) {
+    next_stage_ = s;
+    next_epoch_ = epoch + 1;
+  } else {
+    next_stage_ = s + 1;
+    next_epoch_ = 0;
+  }
+  completed_ = NextEpoch().first > num_stages;
+  return indices.size();
 }
 
 StatusOr<std::unique_ptr<WsccalPipeline>> WsccalPipeline::Train(
     std::shared_ptr<const FeatureSpace> features, const WsccalConfig& config) {
   if (features == nullptr) return Status::InvalidArgument("null features");
-  const auto& pool = features->data->unlabeled;
-  if (pool.empty()) return Status::InvalidArgument("empty unlabeled pool");
-
-  obs::ScopedSpan train_span("wsccl.train");
-  std::vector<int> all(pool.size());
-  std::iota(all.begin(), all.end(), 0);
-
-  auto pipeline = std::unique_ptr<WsccalPipeline>(new WsccalPipeline());
-  pipeline->config_ = config;
-
-  std::string dir = config.ckpt_dir;
-  if (dir.empty()) {
-    if (const char* env = std::getenv("TPR_CKPT_DIR")) dir = env;
+  if (features->data->unlabeled.empty()) {
+    return Status::InvalidArgument("empty unlabeled pool");
   }
+  obs::ScopedSpan train_span("wsccl.train");
+
+  std::unique_ptr<WsccalPipeline> pipeline;
   std::unique_ptr<ckpt::CheckpointDir> cdir;
-  bool resumed = false;
-  if (!dir.empty()) {
-    cdir = std::make_unique<ckpt::CheckpointDir>(dir);
+  if (!config.ckpt_dir.empty()) {
+    cdir = std::make_unique<ckpt::CheckpointDir>(config.ckpt_dir);
     auto loaded = cdir->LoadLatest();
     if (loaded.ok()) {
       obs::ScopedSpan resume_span("wsccl.resume");
-      pipeline->model_ = std::make_unique<WscModel>(features, config.wsc);
-      TPR_RETURN_IF_ERROR(pipeline->RestorePayload(loaded->payload));
-      resumed = true;
+      auto resumed = Deserialize(features, config, loaded->payload);
+      if (!resumed.ok()) return resumed.status();
+      pipeline = std::move(*resumed);
       if (obs::MetricsEnabled()) {
         obs::GetCounter("wsccl.resumes").Add(1);
         obs::GetGauge("wsccl.resume_epoch")
@@ -201,109 +282,69 @@ StatusOr<std::unique_ptr<WsccalPipeline>> WsccalPipeline::Train(
       if (pipeline->completed_) return pipeline;
     }
   }
-  if (!resumed) {
-    StatusOr<std::vector<std::vector<int>>> stages = [&] {
-      obs::ScopedSpan span("wsccl.build_curriculum");
-      return BuildCurriculum(features, config.wsc, config.curriculum, all);
-    }();
-    if (!stages.ok()) return stages.status();
-    pipeline->stages_ = *std::move(stages);
-    pipeline->model_ = std::make_unique<WscModel>(features, config.wsc);
+  if (pipeline == nullptr) {
+    auto started = Start(features, config);
+    if (!started.ok()) return started.status();
+    pipeline = std::move(*started);
   }
-
-  // Stages ST_1..ST_M easy to hard (Section VI-C), then the final
-  // full-data stage ST_{M+1}, starting from the checkpoint cursor.
-  // Per-phase loss and wall time land in wsccl.stage<i>.* metrics.
-  // Returns OK when the whole schedule ran; `stopped` reports a
-  // stop_after_epochs exit.
-  bool stopped = false;
-  const auto run_schedule = [&]() -> Status {
-    const int num_stages = static_cast<int>(pipeline->stages_.size());
-    for (int s = pipeline->next_stage_; s <= num_stages; ++s) {
-      const bool final_stage = s == num_stages;
-      const auto& stage = final_stage ? all : pipeline->stages_[s];
-      const int epochs =
-          final_stage ? config.final_epochs : config.stage_epochs;
-      const int start_epoch = s == pipeline->next_stage_
-                                  ? std::min(pipeline->next_epoch_, epochs)
-                                  : 0;
-      if (stage.empty()) continue;
-      obs::ScopedSpan stage_span(final_stage ? "wsccl.final_stage"
-                                             : "wsccl.stage",
-                                 "stage", static_cast<double>(s));
-      Stopwatch stage_sw;
-      double stage_loss = 0.0;
-      for (int epoch = start_epoch; epoch < epochs; ++epoch) {
-        auto loss = pipeline->model_->TrainEpoch(stage);
-        if (!loss.ok()) return loss.status();
-        stage_loss = *loss;
-        ++pipeline->global_epoch_;
-        pipeline->final_loss_ = *loss;
-        // Cursor names the NEXT epoch to run, so a checkpoint written
-        // now resumes directly after this epoch.
-        if (epoch + 1 < epochs) {
-          pipeline->next_stage_ = s;
-          pipeline->next_epoch_ = epoch + 1;
-        } else {
-          pipeline->next_stage_ = s + 1;
-          pipeline->next_epoch_ = 0;
-        }
-        const bool last = final_stage && epoch == epochs - 1;
-        if (cdir != nullptr && !last &&
-            config.checkpoint_every_n_epochs > 0 &&
-            pipeline->global_epoch_ %
-                    static_cast<uint64_t>(
-                        config.checkpoint_every_n_epochs) ==
-                0) {
-          TPR_RETURN_IF_ERROR(cdir->Save(pipeline->global_epoch_,
-                                         pipeline->BuildPayload()));
-        }
-        if (config.stop_after_epochs > 0 &&
-            pipeline->global_epoch_ >=
-                static_cast<uint64_t>(config.stop_after_epochs) &&
-            !last) {
-          // Simulated kill: return the partial pipeline as-is. State
-          // past the last periodic checkpoint is intentionally lost.
-          stopped = true;
-          return Status::OK();
-        }
-      }
-      if (obs::MetricsEnabled()) {
-        const std::string prefix =
-            final_stage ? "wsccl.final_stage"
-                        : "wsccl.stage" + std::to_string(s);
-        obs::GetGauge(prefix + ".loss").Set(stage_loss);
-        obs::GetGauge(prefix + ".seconds").Set(stage_sw.ElapsedSeconds());
-      }
-    }
-    return Status::OK();
-  };
 
   // Watchdog recovery: a DataLoss abort (a run of poisoned batches)
   // rolls the pipeline back to the last durable checkpoint generation
   // and re-runs the schedule from its cursor, a bounded number of times.
   // Any other error — or DataLoss with nothing to roll back to — is
-  // returned as-is.
-  for (int rollbacks = 0;;) {
-    const Status st = run_schedule();
-    if (st.ok()) break;
-    if (st.code() != StatusCode::kDataLoss || cdir == nullptr ||
-        rollbacks >= config.max_watchdog_rollbacks) {
-      return st;
+  // returned as-is. Per-stage loss and wall time land in
+  // wsccl.stage<i>.* metrics.
+  int rollbacks = 0;
+  double stage_seconds = 0.0;  // of the running stage, in this process
+  while (!pipeline->completed_) {
+    const int stage = pipeline->NextEpoch().first;
+    Stopwatch sw;
+    auto samples = pipeline->RunEpoch();
+    if (!samples.ok()) {
+      const Status& st = samples.status();
+      if (st.code() != StatusCode::kDataLoss || cdir == nullptr ||
+          rollbacks >= config.max_watchdog_rollbacks) {
+        return st;
+      }
+      auto reloaded = cdir->LoadLatest();
+      if (!reloaded.ok()) return st;
+      TPR_RETURN_IF_ERROR(pipeline->RestorePayload(reloaded->payload));
+      ++rollbacks;
+      obs::GetCounter("wsccl.watchdog_rollbacks").Add(1);
+      TPR_LOG(Warning) << "watchdog rollback " << rollbacks << "/"
+                       << config.max_watchdog_rollbacks
+                       << ": resuming from checkpoint seq " << reloaded->seq
+                       << " (" << st.ToString() << ")";
+      stage_seconds = 0.0;
+      continue;
     }
-    auto reloaded = cdir->LoadLatest();
-    if (!reloaded.ok()) return st;
-    TPR_RETURN_IF_ERROR(pipeline->RestorePayload(reloaded->payload));
-    ++rollbacks;
-    obs::GetCounter("wsccl.watchdog_rollbacks").Add(1);
-    TPR_LOG(Warning) << "watchdog rollback " << rollbacks << "/"
-                     << config.max_watchdog_rollbacks
-                     << ": resuming from checkpoint seq " << reloaded->seq
-                     << " (" << st.ToString() << ")";
+    stage_seconds += sw.ElapsedSeconds();
+    if (pipeline->next_stage_ > stage) {
+      if (obs::MetricsEnabled()) {
+        const std::string prefix =
+            stage == static_cast<int>(pipeline->stages_.size())
+                ? "wsccl.final_stage"
+                : "wsccl.stage" + std::to_string(stage);
+        obs::GetGauge(prefix + ".loss").Set(pipeline->final_loss_);
+        obs::GetGauge(prefix + ".seconds").Set(stage_seconds);
+      }
+      stage_seconds = 0.0;
+    }
+    if (pipeline->completed_) break;
+    const uint64_t epochs = pipeline->global_epoch_;
+    if (cdir != nullptr && config.checkpoint_every_n_epochs > 0 &&
+        epochs % static_cast<uint64_t>(config.checkpoint_every_n_epochs) ==
+            0) {
+      TPR_RETURN_IF_ERROR(cdir->Save(epochs, pipeline->BuildPayload()));
+    }
+    if (config.stop_after_epochs > 0 &&
+        epochs >= static_cast<uint64_t>(config.stop_after_epochs)) {
+      // Simulated kill: return the partial pipeline as-is. State past
+      // the last periodic checkpoint is intentionally lost.
+      return pipeline;
+    }
   }
-  if (stopped) return pipeline;
 
-  pipeline->completed_ = true;
   if (cdir != nullptr) {
     TPR_RETURN_IF_ERROR(
         cdir->Save(pipeline->global_epoch_, pipeline->BuildPayload()));

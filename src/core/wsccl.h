@@ -3,6 +3,8 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
@@ -22,14 +24,12 @@ struct WsccalConfig {
   /// Epochs of the final full-data stage ST_{M+1} (paper: to convergence).
   int final_epochs = 4;
 
-  /// Crash-safe checkpointing. When `ckpt_dir` is non-empty — or the
-  /// TPR_CKPT_DIR environment variable is set — Train() resumes from the
-  /// newest valid checkpoint in that directory and writes a new one
-  /// every `checkpoint_every_n_epochs` training epochs (stage and
-  /// final-stage epochs count equally; 0 writes only the completion
-  /// checkpoint). Checkpoints capture the curriculum stages, the
-  /// schedule cursor, and the full trainer state, so a resumed run
-  /// reproduces the uninterrupted run bit-exactly.
+  /// Crash-safe checkpointing. When `ckpt_dir` is non-empty, Train()
+  /// resumes from the newest valid checkpoint in that directory and
+  /// writes a new one every `checkpoint_every_n_epochs` training epochs
+  /// (stage and final-stage epochs count equally; 0 writes only the
+  /// completion checkpoint). Checkpoints are Serialize() payloads, so a
+  /// resumed run reproduces the uninterrupted run bit-exactly.
   std::string ckpt_dir;
   int checkpoint_every_n_epochs = 1;
 
@@ -49,26 +49,49 @@ struct WsccalConfig {
   int stop_after_epochs = 0;
 };
 
-/// The trained WSCCL model: runs curriculum construction, staged training
-/// and the final full-data stage, then exposes the frozen encoder.
+/// The staged WSCCL curriculum and the model it trains: curriculum
+/// construction, stages ST_1..ST_M easy to hard, then the final
+/// full-data stage ST_{M+1}, then the frozen encoder. The pipeline is the
+/// one owner of staged-training state — the stages, the schedule cursor
+/// and the trainer — whether it trains a model from scratch (Train) or
+/// fine-tunes one epoch at a time (drift adaptation).
 class WsccalPipeline {
  public:
-  /// Trains end to end on the dataset's unlabeled pool, resuming from
-  /// `config.ckpt_dir` when it holds a valid checkpoint. Resuming under
-  /// a config whose fingerprint differs from the checkpoint's is a
-  /// FailedPrecondition — a checkpoint is never silently reinterpreted.
+  /// Trains end to end on the dataset's unlabeled pool: resumes from
+  /// `config.ckpt_dir` when it holds a valid checkpoint, else Start()s,
+  /// then runs RunEpoch() until the schedule is complete. Resuming a
+  /// checkpoint built under another config fingerprint or on another
+  /// unlabeled pool is a FailedPrecondition — a checkpoint is never
+  /// silently reinterpreted.
   static StatusOr<std::unique_ptr<WsccalPipeline>> Train(
       std::shared_ptr<const FeatureSpace> features,
       const WsccalConfig& config);
 
-  /// Serialized trained pipeline (curriculum stages + trainer state),
-  /// for the bench model registry. Only complete pipelines serialize;
-  /// partial ones (see stop_after_epochs) are refused.
+  /// A pipeline with no epoch trained yet: the curriculum over the whole
+  /// unlabeled pool and a freshly initialised model. Checkpoint and
+  /// stop fields of `config` are Train()'s and ignored here.
+  static StatusOr<std::unique_ptr<WsccalPipeline>> Start(
+      std::shared_ptr<const FeatureSpace> features,
+      const WsccalConfig& config);
+
+  /// Trains the next epoch of the schedule and advances the cursor;
+  /// the last final-stage epoch completes the pipeline. Returns the
+  /// number of samples the epoch trained on. On error the cursor stays
+  /// where it was (the model may hold part of the failed epoch); a
+  /// completed pipeline has no epoch left and is a FailedPrecondition.
+  StatusOr<size_t> RunEpoch();
+
+  /// The pipeline as bytes — config and pool fingerprints, cursor,
+  /// stages and the full trainer state — partial or complete. Periodic
+  /// checkpoints, the bench model registry and the drift fine-tune
+  /// state all hold this payload.
   StatusOr<std::string> Serialize() const;
 
-  /// Reconstructs a trained pipeline from Serialize() output. The
-  /// config must fingerprint-match the one the checkpoint was trained
-  /// with, and the payload must describe a completed run.
+  /// Reconstructs a pipeline from Serialize() output. The config must
+  /// fingerprint-match the one the payload was built under and
+  /// `features` must carry the unlabeled pool its stage indices point
+  /// into; either mismatch is a FailedPrecondition. A partial payload
+  /// comes back partial: RunEpoch() continues it bit-exactly.
   static StatusOr<std::unique_ptr<WsccalPipeline>> Deserialize(
       std::shared_ptr<const FeatureSpace> features,
       const WsccalConfig& config, std::string_view payload);
@@ -95,24 +118,35 @@ class WsccalPipeline {
   /// last final-stage epoch for a completed run).
   double final_loss() const { return final_loss_; }
 
-  /// False when training was interrupted by stop_after_epochs before
-  /// the schedule finished.
+  /// True once every epoch of the schedule has run. A run cut short by
+  /// stop_after_epochs, or a caller that stops calling RunEpoch() early,
+  /// leaves a partial pipeline.
   bool completed() const { return completed_; }
 
   /// Total training epochs completed so far (stage + final).
   uint64_t epochs_completed() const { return global_epoch_; }
 
  private:
-  WsccalPipeline() = default;
+  WsccalPipeline(const FeatureSpace& features, const WsccalConfig& config);
 
-  /// Payload for both periodic checkpoints and registry serialization.
+  /// Serialize()'s payload; building it into memory cannot fail.
   std::string BuildPayload() const;
 
-  /// Restores cursor, stages, and model state from BuildPayload()
-  /// output. config_ and model_ must already be set.
+  /// Restores cursor, stages, and model state from Serialize() output.
+  /// model_ must already be set.
   Status RestorePayload(std::string_view payload);
 
+  /// True when schedule stage `s` (stages_.size() is the final
+  /// full-data stage) has samples and an epoch numbered `epoch`.
+  bool HasEpoch(int s, int epoch) const;
+
+  /// The (stage, epoch) RunEpoch() runs next: the cursor moved past
+  /// stages with nothing left to run. The stage is past the final one
+  /// once the schedule is complete.
+  std::pair<int, int> NextEpoch() const;
+
   WsccalConfig config_;
+  uint64_t pool_fingerprint_ = 0;  // of the unlabeled pool trained on
   std::unique_ptr<WscModel> model_;
   std::vector<std::vector<int>> stages_;
   // Schedule cursor: the NEXT (stage, epoch) to run. next_stage_ ==

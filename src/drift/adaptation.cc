@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <numeric>
 #include <utility>
 
 #include "ckpt/checkpoint.h"
@@ -11,19 +10,14 @@
 #include "obs/metrics.h"
 #include "util/env.h"
 #include "util/logging.h"
-#include "util/rng.h"
 
 namespace tpr::drift {
 namespace {
 
+// The state record: tag, version, candidate and source generations,
+// then the fine-tune pipeline's Serialize() payload as one string.
 constexpr char kStateTag[] = "tpr-drift-finetune";
-constexpr uint32_t kStateVersion = 1;
-
-std::vector<int> AllIndices(const synth::CityDataset& data) {
-  std::vector<int> indices(data.unlabeled.size());
-  std::iota(indices.begin(), indices.end(), 0);
-  return indices;
-}
+constexpr uint32_t kStateVersion = 2;
 
 void RemoveStateDir(const std::string& dir) {
   std::error_code ec;
@@ -76,15 +70,13 @@ AdaptationController::AdaptationController(
 
 AdaptationController::~AdaptationController() = default;
 
-uint64_t AdaptationController::FingerprintPool(const synth::CityDataset& data) {
-  uint64_t h = MixSeed(0xD21F7A5EULL, data.unlabeled.size());
-  for (const auto& s : data.unlabeled) {
-    h = MixSeed(h, static_cast<uint64_t>(s.depart_time_s));
-    for (int e : s.path) {
-      h = MixSeed(h, static_cast<uint64_t>(static_cast<uint32_t>(e)) + 1);
-    }
-  }
-  return h;
+core::WsccalConfig AdaptationController::FineTuneConfig() const {
+  core::WsccalConfig c;
+  c.wsc = config_.wsc;
+  c.curriculum = config_.curriculum;
+  c.stage_epochs = 1;
+  c.final_epochs = config_.total_epochs;
+  return c;
 }
 
 bool AdaptationController::ObserveProbeMae(double mae) {
@@ -176,20 +168,12 @@ Status AdaptationController::StartFineTune(
       *payload, fresh_features, config_.wsc.encoder);
   if (!decoded.ok()) return decoded.status();
 
-  auto model = std::make_unique<core::WscModel>(fresh_features, config_.wsc);
-  {
-    // Warm start: copy the live generation's parameter values into the
-    // fine-tune model (shape-checked by the serializer).
-    ckpt::Writer w;
-    ckpt::WriteParamValues(w, decoded->encoder->Parameters());
-    ckpt::Reader r(w.bytes());
-    TPR_RETURN_IF_ERROR(
-        ckpt::ReadParamValuesInto(r, model->mutable_encoder()->Parameters()));
-  }
-
-  auto stages = core::BuildCurriculum(fresh_features, config_.wsc,
-                                      config_.curriculum, AllIndices(*fresh));
-  if (!stages.ok()) return stages.status();
+  auto pipeline = core::WsccalPipeline::Start(fresh_features, FineTuneConfig());
+  if (!pipeline.ok()) return pipeline.status();
+  // Warm start: the live generation's parameter values, shape-checked.
+  TPR_RETURN_IF_ERROR(
+      (*pipeline)->mutable_model()->mutable_encoder()->CopyParamsFrom(
+          *decoded->encoder));
 
   uint64_t max_gen = source_gen;
   for (uint64_t s : model_dir.ListSeqs()) max_gen = std::max(max_gen, s);
@@ -202,11 +186,7 @@ Status AdaptationController::StartFineTune(
                        ? config_.forced_candidate_generation
                        : max_gen + 1;
   source_gen_ = source_gen;
-  fresh_data_ = fresh;
-  model_ = std::move(model);
-  stages_ = std::move(*stages);
-  pool_fingerprint_ = FingerprintPool(*fresh);
-  epochs_done_ = 0;
+  pipeline_ = std::move(*pipeline);
   state_ = AdaptState::kFineTuning;
   ++launches_;
   launches.Add();
@@ -222,29 +202,17 @@ Status AdaptationController::StartFineTune(
   return Status::OK();
 }
 
-std::string AdaptationController::EncodeFineTuneState() const {
+Status AdaptationController::SaveFineTuneState() const {
+  auto payload = pipeline_->Serialize();
+  if (!payload.ok()) return payload.status();
   ckpt::Writer w;
   w.Str(kStateTag);
   w.U32(kStateVersion);
   w.U64(candidate_gen_);
   w.U64(source_gen_);
-  w.U64(pool_fingerprint_);
-  w.I32(config_.total_epochs);
-  w.I32(epochs_done_);
-  w.U64(stages_.size());
-  for (const auto& stage : stages_) {
-    w.U64(stage.size());
-    for (int idx : stage) w.I32(idx);
-  }
-  Status st = model_->SaveState(w);
-  TPR_CHECK(st.ok());  // serialization into memory cannot fail
-  return w.TakeBytes();
-}
-
-Status AdaptationController::SaveFineTuneState() const {
+  w.Str(*payload);
   ckpt::CheckpointDir cdir(config_.finetune_dir);
-  return cdir.Save(static_cast<uint64_t>(epochs_done_) + 1,
-                   EncodeFineTuneState());
+  return cdir.Save(pipeline_->epochs_completed() + 1, w.TakeBytes());
 }
 
 Status AdaptationController::TryResume(
@@ -263,10 +231,8 @@ Status AdaptationController::TryResume(
   // Any decode failure from here on means the state is foreign, corrupt,
   // or from a different world — refuse it, wipe the directory, and stay
   // idle rather than wedging the control loop on a bad file.
-  uint64_t candidate_gen = 0, source_gen = 0, fingerprint = 0;
-  int32_t total_epochs = 0, epochs_done = 0;
-  std::vector<std::vector<int>> stages;
-  std::unique_ptr<core::WscModel> model;
+  uint64_t candidate_gen = 0, source_gen = 0;
+  std::unique_ptr<core::WsccalPipeline> pipeline;
   std::string refusal;
   Status parsed = [&]() -> Status {
     ckpt::Reader r(loaded->payload);
@@ -280,29 +246,13 @@ Status AdaptationController::TryResume(
     }
     TPR_RETURN_IF_ERROR(r.U64(&candidate_gen));
     TPR_RETURN_IF_ERROR(r.U64(&source_gen));
-    TPR_RETURN_IF_ERROR(r.U64(&fingerprint));
-    TPR_RETURN_IF_ERROR(r.I32(&total_epochs));
-    TPR_RETURN_IF_ERROR(r.I32(&epochs_done));
-    if (fingerprint != FingerprintPool(*fresh)) {
-      refusal = "fresh pool changed since the fine-tune started";
-      return Status::InvalidArgument(refusal);
-    }
-    uint64_t num_stages = 0;
-    TPR_RETURN_IF_ERROR(r.U64(&num_stages));
-    stages.resize(num_stages);
-    for (auto& stage : stages) {
-      uint64_t n = 0;
-      TPR_RETURN_IF_ERROR(r.U64(&n));
-      stage.resize(n);
-      for (auto& idx : stage) {
-        int32_t v = 0;
-        TPR_RETURN_IF_ERROR(r.I32(&v));
-        idx = v;
-      }
-    }
-    auto fresh_features = FreshFeatures(fresh);
-    model = std::make_unique<core::WscModel>(fresh_features, config_.wsc);
-    return model->LoadState(r);
+    std::string payload;
+    TPR_RETURN_IF_ERROR(r.Str(&payload));
+    auto restored = core::WsccalPipeline::Deserialize(
+        FreshFeatures(fresh), FineTuneConfig(), payload);
+    if (!restored.ok()) return restored.status();
+    pipeline = std::move(*restored);
+    return Status::OK();
   }();
   if (!parsed.ok()) {
     if (refusal.empty()) refusal = parsed.message();
@@ -313,17 +263,13 @@ Status AdaptationController::TryResume(
 
   candidate_gen_ = candidate_gen;
   source_gen_ = source_gen;
-  pool_fingerprint_ = fingerprint;
-  epochs_done_ = epochs_done;
-  fresh_data_ = fresh;
-  model_ = std::move(model);
-  stages_ = std::move(stages);
+  pipeline_ = std::move(pipeline);
   state_ = AdaptState::kFineTuning;
   ++resumes_;
   resumed.Add();
   report->events.push_back(
       "fine-tune resumed: candidate gen " + std::to_string(candidate_gen_) +
-      " at epoch " + std::to_string(epochs_done_) + "/" +
+      " at epoch " + std::to_string(pipeline_->epochs_completed()) + "/" +
       std::to_string(config_.total_epochs));
   RefreshRolloutProbe(report);
   return Status::OK();
@@ -331,24 +277,20 @@ Status AdaptationController::TryResume(
 
 Status AdaptationController::RunEpochs(AdaptReport* report) {
   obs::Counter& epochs = metrics_.counter("drift.finetune_epochs");
+  const uint64_t total = static_cast<uint64_t>(config_.total_epochs);
   for (int i = 0; i < config_.epochs_per_tick &&
-                  epochs_done_ < config_.total_epochs;
+                  pipeline_->epochs_completed() < total;
        ++i) {
-    const std::vector<int>& indices =
-        epochs_done_ < static_cast<int>(stages_.size())
-            ? stages_[epochs_done_]
-            : AllIndices(*fresh_data_);
-    auto loss = model_->TrainEpoch(indices);
-    if (!loss.ok()) return loss.status();
-    ++epochs_done_;
+    auto samples = pipeline_->RunEpoch();
+    if (!samples.ok()) return samples.status();
     epochs.Add();
     TPR_RETURN_IF_ERROR(SaveFineTuneState());
     report->events.push_back(
-        "fine-tune epoch " + std::to_string(epochs_done_) + "/" +
-        std::to_string(config_.total_epochs) + " on " +
-        std::to_string(indices.size()) + " samples");
+        "fine-tune epoch " + std::to_string(pipeline_->epochs_completed()) +
+        "/" + std::to_string(total) + " on " + std::to_string(*samples) +
+        " samples");
   }
-  if (epochs_done_ >= config_.total_epochs) {
+  if (pipeline_->epochs_completed() >= total) {
     TPR_RETURN_IF_ERROR(PublishCandidate(report));
   }
   return Status::OK();
@@ -359,7 +301,7 @@ Status AdaptationController::PublishCandidate(AdaptReport* report) {
   const std::string& dir =
       config_.publish_dir.empty() ? config_.model_dir : config_.publish_dir;
   TPR_RETURN_IF_ERROR(serve::InferenceService::SaveModel(
-      model_->encoder(), dir, candidate_gen_));
+      pipeline_->model().encoder(), dir, candidate_gen_));
   report->events.push_back("candidate gen " + std::to_string(candidate_gen_) +
                            " published for rollout validation");
   report->published = true;
@@ -367,9 +309,7 @@ Status AdaptationController::PublishCandidate(AdaptReport* report) {
   published.Add();
   // The candidate is durable; the in-flight trainer state is obsolete.
   RemoveStateDir(config_.finetune_dir);
-  model_.reset();
-  stages_.clear();
-  fresh_data_.reset();
+  pipeline_.reset();
   detector_.Reset();
   state_ = AdaptState::kCooldown;
   return Status::OK();
@@ -378,8 +318,8 @@ Status AdaptationController::PublishCandidate(AdaptReport* report) {
 void AdaptationController::RefreshRolloutProbe(AdaptReport* report) {
   if (rollout_ == nullptr) return;
   core::ProbeSet probe =
-      core::BuildProbeSet(*fresh_data_, config_.probe_queries,
-                          config_.probe_seed);
+      core::BuildProbeSet(*pipeline_->model().features().data,
+                          config_.probe_queries, config_.probe_seed);
   rollout_->RefreshProbe(std::move(probe));
   report->events.push_back(
       "rollout probe refreshed onto the fresh window (" +

@@ -14,17 +14,19 @@
 //
 //   idle ──alarm──▶ fine-tuning ──budget spent──▶ cooldown ──▶ idle
 //
-//   fine-tuning   warm-starts a WscModel from the LIVE generation's
-//                 serve checkpoint (read back through tpr::ckpt), swaps
-//                 the feature space's dataset for the fresh post-shift
-//                 trajectory window, and trains a heuristic curriculum
-//                 over ONLY that fresh pool. After every epoch the full
-//                 trainer state (parameters, Adam moments, minibatch
-//                 counter, RNG, curriculum stages, fresh-pool
-//                 fingerprint) is checkpointed to `finetune_dir`, so a
+//   fine-tuning   runs a core::WsccalPipeline over ONLY the fresh
+//                 post-shift trajectory window: a heuristic curriculum
+//                 with one epoch per stage, then full-pool epochs, for
+//                 `total_epochs` epochs in all. Its model is warm-started
+//                 from the LIVE generation's serve checkpoint (read back
+//                 through tpr::ckpt). After every epoch the pipeline's
+//                 Serialize() payload is checkpointed to `finetune_dir`
+//                 behind the candidate and source generations, so a
 //                 controller killed at any epoch boundary resumes
 //                 bitwise-identically: the published candidate bytes are
-//                 the same whether or not the run was interrupted.
+//                 the same whether or not the run was interrupted. A
+//                 resume onto another fresh pool or another fine-tune
+//                 config (`total_epochs` included) is refused.
 //   cooldown      the candidate has been published into the rollout
 //                 model dir; the controller waits for the rollout
 //                 lineage to resolve it (live / quarantined) before
@@ -41,10 +43,9 @@
 #include <string>
 #include <vector>
 
-#include "core/curriculum.h"
 #include "core/features.h"
 #include "core/probe.h"
-#include "core/wsc_trainer.h"
+#include "core/wsccl.h"
 #include "drift/detector.h"
 #include "rollout/controller.h"
 #include "serve/service.h"
@@ -80,7 +81,9 @@ struct AdaptationConfig {
       /*expert_epochs=*/1};
 
   /// Fine-tune budget: total epochs over the fresh pool. Epoch e runs
-  /// curriculum stage e while stages remain, then full-pool epochs.
+  /// curriculum stage e while stages remain, then full-pool epochs. Part
+  /// of the fine-tune's config fingerprint: a resume under a different
+  /// budget is refused.
   int total_epochs = 3;
 
   /// Epochs executed per Tick() (the caller interleaves ticks with
@@ -145,10 +148,11 @@ class AdaptationController {
   bool ObserveProbeMae(double mae);
 
   /// One control step. `fresh` is the current fresh-trajectory window
-  /// (the post-shift stream); it must stay the same object between the
-  /// launch of a fine-tune and its publish. The first Tick() also
-  /// checks `finetune_dir` for an interrupted run and resumes it —
-  /// alarm state is not required to resume, only to launch.
+  /// (the post-shift stream); a fine-tune trains on the window it was
+  /// launched on until it publishes. The first Tick() also checks
+  /// `finetune_dir` for an interrupted run and resumes it if that run
+  /// trained on `fresh` — alarm state is not required to resume, only to
+  /// launch.
   StatusOr<AdaptReport> Tick(
       const std::shared_ptr<const synth::CityDataset>& fresh);
 
@@ -167,10 +171,6 @@ class AdaptationController {
   uint64_t fine_tunes_published() const { return publishes_; }
   uint64_t fine_tunes_resumed() const { return resumes_; }
 
-  /// Deterministic content fingerprint of a fresh pool; a resume
-  /// refuses to continue onto a different window than it started on.
-  static uint64_t FingerprintPool(const synth::CityDataset& data);
-
  private:
   Status StartFineTune(const std::shared_ptr<const synth::CityDataset>& fresh,
                        AdaptReport* report);
@@ -180,7 +180,10 @@ class AdaptationController {
   Status PublishCandidate(AdaptReport* report);
   void RefreshRolloutProbe(AdaptReport* report);
   Status SaveFineTuneState() const;
-  std::string EncodeFineTuneState() const;
+
+  /// The fine-tune as a pipeline schedule: one epoch per curriculum
+  /// stage, then full-pool epochs up to the total budget.
+  core::WsccalConfig FineTuneConfig() const;
 
   /// Fresh-window FeatureSpace: the base space's frozen node2vec
   /// embeddings over the post-shift dataset.
@@ -197,15 +200,11 @@ class AdaptationController {
   AdaptState state_ = AdaptState::kIdle;
   bool resume_checked_ = false;
 
-  // In-flight fine-tune state (valid while state_ == kFineTuning, and
-  // candidate_gen_ survives into cooldown).
-  std::shared_ptr<const synth::CityDataset> fresh_data_;
-  std::unique_ptr<core::WscModel> model_;
-  std::vector<std::vector<int>> stages_;
+  // In-flight fine-tune over the fresh window (valid while state_ ==
+  // kFineTuning, and candidate_gen_ survives into cooldown).
+  std::unique_ptr<core::WsccalPipeline> pipeline_;
   uint64_t candidate_gen_ = 0;
   uint64_t source_gen_ = 0;
-  uint64_t pool_fingerprint_ = 0;
-  int epochs_done_ = 0;
 
   uint64_t launches_ = 0;
   uint64_t publishes_ = 0;

@@ -169,6 +169,32 @@ Histogram& GetHistogram(const std::string& name, std::vector<double> bounds) {
   return *slot;
 }
 
+namespace internal {
+namespace {
+
+struct DiscardHandles {
+  Counter counter;
+  Gauge gauge;
+  Histogram histogram{Histogram::DurationBuckets()};
+};
+
+// Leaked like the registry, and built at load time (below) rather than
+// on first use, so resolving a discard handle never allocates.
+DiscardHandles& Discards() {
+  static DiscardHandles* d = new DiscardHandles();
+  return *d;
+}
+
+[[maybe_unused]] const bool g_discards_built = (Discards(), true);
+
+}  // namespace
+
+Counter& DiscardCounter() { return Discards().counter; }
+Gauge& DiscardGauge() { return Discards().gauge; }
+Histogram& DiscardHistogram() { return Discards().histogram; }
+
+}  // namespace internal
+
 std::string MetricsToJson() {
   Registry& r = GetRegistry();
   std::lock_guard<std::mutex> lock(r.mu);

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tpr::obs {
@@ -135,29 +136,48 @@ Gauge& GetGauge(const std::string& name);
 Histogram& GetHistogram(const std::string& name);  // DurationBuckets()
 Histogram& GetHistogram(const std::string& name, std::vector<double> bounds);
 
+namespace internal {
+/// Shared handles MetricScope resolves to while recording is off. They
+/// exist before main, so a disabled lookup allocates nothing.
+Counter& DiscardCounter();
+Gauge& DiscardGauge();
+Histogram& DiscardHistogram();
+}  // namespace internal
+
 /// A name prefix over the registry, for components that exist more than
 /// once per process (per-shard services, rollout controllers, drift
 /// detectors). Each instance resolves its handles through its own scope
 /// ("shard0." + "serve.requests" -> "shard0.serve.requests"); the default
 /// empty prefix yields the historical global names, so single-instance
 /// code and existing dashboards are unchanged. Handles resolved through
-/// a scope are the same stable registry references as GetCounter's.
+/// a scope are the same stable registry references as GetCounter's —
+/// while recording is on. While it is off, a lookup returns a shared
+/// discard handle without building the name or taking the registry
+/// lock, so resolve a scoped handle in the call that records through it
+/// and never keep it.
 class MetricScope {
  public:
   MetricScope() = default;
   explicit MetricScope(std::string prefix) : prefix_(std::move(prefix)) {}
 
   const std::string& prefix() const { return prefix_; }
-  std::string Name(const std::string& name) const { return prefix_ + name; }
+  std::string Name(std::string_view name) const {
+    std::string full = prefix_;
+    full.append(name);
+    return full;
+  }
 
-  Counter& counter(const std::string& name) const {
-    return GetCounter(prefix_ + name);
+  Counter& counter(std::string_view name) const {
+    if (!MetricsEnabled()) return internal::DiscardCounter();
+    return GetCounter(Name(name));
   }
-  Gauge& gauge(const std::string& name) const {
-    return GetGauge(prefix_ + name);
+  Gauge& gauge(std::string_view name) const {
+    if (!MetricsEnabled()) return internal::DiscardGauge();
+    return GetGauge(Name(name));
   }
-  Histogram& histogram(const std::string& name) const {
-    return GetHistogram(prefix_ + name);
+  Histogram& histogram(std::string_view name) const {
+    if (!MetricsEnabled()) return internal::DiscardHistogram();
+    return GetHistogram(Name(name));
   }
 
  private:

@@ -10,11 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/baseline.h"
-#include "baselines/dgi.h"
-#include "baselines/gmi.h"
-#include "baselines/memory_bank.h"
-#include "baselines/supervised.h"
 #include "ckpt/checkpoint.h"
 #include "ckpt/serialize.h"
 #include "core/wsccl.h"
@@ -501,7 +496,7 @@ TEST(CheckpointDirTest, CorruptPinMarkerReadsAsNoPin) {
 }
 
 // ---------------------------------------------------------------------------
-// Model / baseline state round trips on a tiny city.
+// Model state round trips on a tiny city.
 // ---------------------------------------------------------------------------
 
 class CkptModelTest : public ::testing::Test {
@@ -601,82 +596,6 @@ TEST_F(CkptModelTest, WscModelLoadRejectsDifferentArchitecture) {
   WscModel b(features(), other);
   Reader r(w.bytes());
   EXPECT_EQ(b.LoadState(r).code(), StatusCode::kFailedPrecondition);
-}
-
-TEST_F(CkptModelTest, DgiBaselineRoundTrip) {
-  baselines::DgiModel::Config cfg;
-  cfg.hidden_dim = 8;
-  cfg.epochs = 3;
-  baselines::DgiModel trained(features(), cfg);
-  ASSERT_TRUE(trained.Train().ok());
-  Writer w;
-  ASSERT_TRUE(baselines::SaveBaseline(trained, w).ok());
-
-  baselines::DgiModel fresh(features(), cfg);
-  Reader r(w.bytes());
-  ASSERT_TRUE(baselines::LoadBaseline(fresh, r).ok());
-  for (int i = 0; i < 3; ++i) {
-    const auto& sample = data().unlabeled[i];
-    EXPECT_EQ(trained.Encode(sample), fresh.Encode(sample));
-  }
-}
-
-TEST_F(CkptModelTest, MemoryBankBaselineRoundTripIncludesBank) {
-  baselines::MemoryBankModel::Config cfg;
-  cfg.hidden_dim = 8;
-  cfg.epochs = 1;
-  baselines::MemoryBankModel trained(features(), cfg);
-  ASSERT_TRUE(trained.Train().ok());
-  Writer w;
-  ASSERT_TRUE(baselines::SaveBaseline(trained, w).ok());
-
-  baselines::MemoryBankModel fresh(features(), cfg);
-  Reader r(w.bytes());
-  ASSERT_TRUE(baselines::LoadBaseline(fresh, r).ok());
-  for (int i = 0; i < 3; ++i) {
-    const auto& sample = data().unlabeled[i];
-    EXPECT_EQ(trained.Encode(sample), fresh.Encode(sample));
-  }
-}
-
-TEST_F(CkptModelTest, SupervisedBaselineRoundTripIncludesNormalisation) {
-  par::SetDefaultThreads(1);
-  baselines::SupervisedConfig cfg;
-  cfg.encoder.d_hidden = 8;
-  cfg.encoder.projection_dim = 8;
-  cfg.epochs = 1;
-  std::vector<int> train_idx;
-  for (int i = 0; i < static_cast<int>(data().labeled.size()) && i < 24; ++i) {
-    train_idx.push_back(i);
-  }
-  baselines::PathRankModel trained(features(), train_idx, cfg);
-  ASSERT_TRUE(trained.Train().ok());
-  Writer w;
-  ASSERT_TRUE(baselines::SaveBaseline(trained, w).ok());
-
-  baselines::PathRankModel fresh(features(), train_idx, cfg);
-  Reader r(w.bytes());
-  ASSERT_TRUE(baselines::LoadBaseline(fresh, r).ok());
-  for (int i = 0; i < 3; ++i) {
-    const auto& sample = data().labeled[i];
-    EXPECT_EQ(trained.Encode(sample), fresh.Encode(sample));
-    EXPECT_EQ(trained.PredictPrimary(sample), fresh.PredictPrimary(sample));
-  }
-}
-
-TEST_F(CkptModelTest, LoadBaselineRejectsWrongMethod) {
-  baselines::DgiModel::Config cfg;
-  cfg.hidden_dim = 8;
-  cfg.epochs = 1;
-  baselines::DgiModel dgi(features(), cfg);
-  ASSERT_TRUE(dgi.Train().ok());
-  Writer w;
-  ASSERT_TRUE(baselines::SaveBaseline(dgi, w).ok());
-
-  baselines::GmiModel gmi(features());
-  Reader r(w.bytes());
-  EXPECT_EQ(baselines::LoadBaseline(gmi, r).code(),
-            StatusCode::kFailedPrecondition);
 }
 
 // ---------------------------------------------------------------------------
@@ -806,18 +725,6 @@ TEST_F(CkptResumeTest, CompletedCheckpointShortCircuitsTraining) {
   }
 }
 
-TEST_F(CkptResumeTest, CkptDirFromEnvironment) {
-  par::SetDefaultThreads(1);
-  const std::string dir = ScratchDir("resume_env");
-  ASSERT_EQ(setenv("TPR_CKPT_DIR", dir.c_str(), 1), 0);
-  WsccalConfig cfg = TinyWsccal(CurriculumStrategy::kHeuristic);
-  cfg.stop_after_epochs = 1;
-  auto partial = WsccalPipeline::Train(features(), cfg);
-  unsetenv("TPR_CKPT_DIR");
-  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-  EXPECT_TRUE(CheckpointDir(dir).LoadLatest().ok());
-}
-
 TEST_F(CkptResumeTest, SerializeDeserializeRoundTrip) {
   par::SetDefaultThreads(1);
   const WsccalConfig cfg = TinyWsccal(CurriculumStrategy::kHeuristic);
@@ -840,15 +747,57 @@ TEST_F(CkptResumeTest, SerializeDeserializeRoundTrip) {
       StatusCode::kFailedPrecondition);
 }
 
-TEST_F(CkptResumeTest, PartialPipelineRefusesToSerialize) {
+TEST_F(CkptResumeTest, ResumeRefusedOnADifferentPool) {
   par::SetDefaultThreads(1);
-  const std::string dir = ScratchDir("partial_serialize");
+  const std::string dir = ScratchDir("resume_other_pool");
   WsccalConfig cfg = TinyWsccal(CurriculumStrategy::kHeuristic);
   cfg.ckpt_dir = dir;
   cfg.stop_after_epochs = 1;
   auto partial = WsccalPipeline::Train(features(), cfg);
   ASSERT_TRUE(partial.ok()) << partial.status().ToString();
-  EXPECT_EQ((*partial)->Serialize().status().code(),
+
+  // Another dataset over the same network with a pool of the same size:
+  // every stored stage index is in range, but names another trajectory.
+  auto other_data = std::make_shared<synth::CityDataset>(data());
+  std::reverse(other_data->unlabeled.begin(), other_data->unlabeled.end());
+  auto other = std::make_shared<FeatureSpace>(*features());
+  other->data = other_data;
+  auto resumed = WsccalPipeline::Train(other, cfg);
+  EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(CkptResumeTest, PartialPipelineRoundTripsAndFinishesBitExact) {
+  par::SetDefaultThreads(1);
+  const WsccalConfig cfg = TinyWsccal(CurriculumStrategy::kHeuristic);
+  auto straight = WsccalPipeline::Train(features(), cfg);
+  ASSERT_TRUE(straight.ok()) << straight.status().ToString();
+
+  WsccalConfig stopped = cfg;
+  stopped.stop_after_epochs = 1;
+  auto partial = WsccalPipeline::Train(features(), stopped);
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  ASSERT_FALSE((*partial)->completed());
+
+  // A partial payload comes back partial, and RunEpoch() finishes it
+  // exactly as the uninterrupted run did.
+  auto payload = (*partial)->Serialize();
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  auto loaded = WsccalPipeline::Deserialize(features(), cfg, *payload);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_FALSE((*loaded)->completed());
+  EXPECT_EQ((*loaded)->epochs_completed(), 1u);
+  while (!(*loaded)->completed()) {
+    auto samples = (*loaded)->RunEpoch();
+    ASSERT_TRUE(samples.ok()) << samples.status().ToString();
+    EXPECT_GT(*samples, 0u);
+  }
+  EXPECT_EQ((*loaded)->epochs_completed(), (*straight)->epochs_completed());
+  EXPECT_EQ(Bits((*straight)->final_loss()), Bits((*loaded)->final_loss()));
+  for (int i = 0; i < 3; ++i) {
+    const auto& sample = data().unlabeled[i];
+    EXPECT_EQ((*straight)->Encode(sample), (*loaded)->Encode(sample));
+  }
+  EXPECT_EQ((*loaded)->RunEpoch().status().code(),
             StatusCode::kFailedPrecondition);
 }
 

@@ -633,6 +633,13 @@ TEST_F(DriftResumeTest, ResumeRefusesAForeignOrStaleState) {
   InferenceService svc(features(), TinyEncoder(), TinyService());
   svc.InstallModel(enc, 1, nullptr);
 
+  const auto refused = [](const AdaptReport& report) {
+    for (const std::string& e : report.events) {
+      if (e.find("resume refused") != std::string::npos) return true;
+    }
+    return false;
+  };
+
   // A foreign payload in the fine-tune dir: the first tick refuses it,
   // wipes the state, and stays idle.
   AdaptationConfig cfg = TinyAdaptation(model_dir);
@@ -644,12 +651,33 @@ TEST_F(DriftResumeTest, ResumeRefusesAForeignOrStaleState) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(ctl.state(), AdaptState::kIdle);
   EXPECT_EQ(ctl.fine_tunes_resumed(), 0u);
-  bool refused = false;
-  for (const std::string& e : r->events) {
-    refused = refused || e.find("resume refused") != std::string::npos;
-  }
-  EXPECT_TRUE(refused);
+  EXPECT_TRUE(refused(*r));
   EXPECT_FALSE(std::filesystem::exists(cfg.finetune_dir))
+      << "refused state must be wiped";
+
+  // A stale state: a fine-tune killed after epoch 1 on fresh pool A and
+  // ticked with pool B. Its curriculum indexes pool A's trajectories, so
+  // the resume is refused the same way.
+  AdaptationConfig stale_cfg = TinyAdaptation(model_dir);
+  stale_cfg.finetune_dir = ScratchDir("refuse_stale_ft");
+  {
+    AdaptationController killed(features(), &svc, nullptr, FastDetector(),
+                                 stale_cfg);
+    ASSERT_TRUE(killed.ForceStartFineTune(fresh()).ok());
+    auto t = killed.Tick(fresh());  // epoch 1 of 2, then "killed"
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    ASSERT_EQ(killed.state(), AdaptState::kFineTuning);
+  }
+  ASSERT_TRUE(std::filesystem::exists(stale_cfg.finetune_dir));
+  const std::shared_ptr<const synth::CityDataset> pool_b = *data_;
+  AdaptationController stale(features(), &svc, nullptr, FastDetector(),
+                             stale_cfg);
+  auto s = stale.Tick(pool_b);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  EXPECT_EQ(stale.state(), AdaptState::kIdle);
+  EXPECT_EQ(stale.fine_tunes_resumed(), 0u);
+  EXPECT_TRUE(refused(*s));
+  EXPECT_FALSE(std::filesystem::exists(stale_cfg.finetune_dir))
       << "refused state must be wiped";
 }
 

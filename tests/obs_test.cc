@@ -176,6 +176,9 @@ TEST(ObsOverheadTest, DisabledPathsDoNotAllocate) {
   Counter& c = GetCounter("obs_test.noalloc_counter");
   Gauge& g = GetGauge("obs_test.noalloc_gauge");
   Histogram& h = GetHistogram("obs_test.noalloc_hist");
+  // Prefix + name overflow any small-string buffer: a disabled scoped
+  // lookup must not even build the name.
+  const MetricScope scope("obs_test.a_long_shard_prefix.");
 
   g_alloc_count.store(0);
   g_count_allocs.store(true);
@@ -183,6 +186,9 @@ TEST(ObsOverheadTest, DisabledPathsDoNotAllocate) {
     c.Add();
     g.Set(i);
     h.Observe(i * 1e-3);
+    scope.counter("noalloc_counter").Add();
+    scope.gauge("noalloc_gauge").Set(i);
+    scope.histogram("noalloc_hist").Observe(i * 1e-3);
     ScopedSpan span("obs_test.noalloc_span");
     TraceCounter("obs_test.noalloc", 1.0);
   }

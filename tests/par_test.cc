@@ -664,7 +664,7 @@ TEST_F(ParDeterminismTest,
     baselines::PathRankModel model(*features_, idx, cfg);
     EXPECT_TRUE(model.Train().ok());
     std::vector<float> flat;
-    for (const auto& p : model.StateParams()) {
+    for (const auto& p : model.Parameters()) {
       const auto& v = p.value();
       flat.insert(flat.end(), v.data(), v.data() + v.size());
     }
