@@ -74,15 +74,12 @@ if [ "$smoke" = true ]; then
     echo "[suite] FAILED: batched-serving throughput gate" >&2
     fail=1
   fi
-  # Quantized-rung floors. The end-to-end encode ratios are Amdahl-bound
-  # (the fused cell, feature assembly, and dequant epilogues are shared
-  # with or comparable to the fp32 path — DESIGN.md section 14), so the
-  # >=2x claim is gated where it is true and stable: the kernel-level
-  # int8-vs-fp32 GEMM rate from bench_micro_ops. The sequential and
-  # batched EncodeValue ratios get honest measured floors with noise
-  # margin. All three timings are single-threaded, so no degraded floor
-  # is needed; the kernel-rate gate is skipped without AVX2 (scalar int8
-  # trades sign-extension work for no SIMD win).
+  # Quantized-rung floors: the sequential and batched EncodeValue ratios
+  # (int8 twin against the fp32 encoder, both on the same inference
+  # plan), with measured floors and noise margin. Both timings are
+  # single-threaded, so no degraded floor is needed. bench_micro_ops
+  # still records kern.int8_vs_fp32_gemm_rate for reading, ungated: the
+  # >=2x kernel-level claim it gated is retired (DESIGN.md section 14).
   if ! python3 "$root/ci/bench_gate.py" throughput \
       "$root/bench_smoke_metrics.json" --bench bench_serve_latency \
       --threads 1 \
@@ -90,17 +87,6 @@ if [ "$smoke" = true ]; then
       --gate serve.quantized.batched_encode_speedup_vs_full:1.05; then
     echo "[suite] FAILED: quantized-rung encode-speedup gate" >&2
     fail=1
-  fi
-  if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
-    if ! python3 "$root/ci/bench_gate.py" throughput \
-        "$root/bench_smoke_metrics.json" --bench bench_micro_ops \
-        --threads 1 \
-        --gate kern.int8_vs_fp32_gemm_rate:1.8; then
-      echo "[suite] FAILED: int8 kernel-rate gate" >&2
-      fail=1
-    fi
-  else
-    echo "[suite] no AVX2 on this host; int8 kernel-rate gate skipped" >&2
   fi
   # Drift-adaptation recovery floor: after each injected regime shift the
   # adapted-and-promoted generation must score within 5% of the degraded

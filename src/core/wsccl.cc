@@ -197,7 +197,10 @@ StatusOr<std::unique_ptr<WsccalPipeline>> WsccalPipeline::Start(
   }();
   if (!stages.ok()) return stages.status();
   pipeline->stages_ = std::move(*stages);
-  pipeline->model_ = std::make_unique<WscModel>(features, config.wsc);
+  {
+    obs::ScopedSpan span("wsccl.build_model");
+    pipeline->model_ = std::make_unique<WscModel>(features, config.wsc);
+  }
   pipeline->completed_ = pipeline->NextEpoch().first >
                          static_cast<int>(pipeline->stages_.size());
   return pipeline;
@@ -335,6 +338,7 @@ StatusOr<std::unique_ptr<WsccalPipeline>> WsccalPipeline::Train(
     if (cdir != nullptr && config.checkpoint_every_n_epochs > 0 &&
         epochs % static_cast<uint64_t>(config.checkpoint_every_n_epochs) ==
             0) {
+      obs::ScopedSpan span("wsccl.checkpoint");
       TPR_RETURN_IF_ERROR(cdir->Save(epochs, pipeline->BuildPayload()));
     }
     if (config.stop_after_epochs > 0 &&
@@ -346,6 +350,7 @@ StatusOr<std::unique_ptr<WsccalPipeline>> WsccalPipeline::Train(
   }
 
   if (cdir != nullptr) {
+    obs::ScopedSpan span("wsccl.checkpoint");
     TPR_RETURN_IF_ERROR(
         cdir->Save(pipeline->global_epoch_, pipeline->BuildPayload()));
   }
@@ -354,8 +359,11 @@ StatusOr<std::unique_ptr<WsccalPipeline>> WsccalPipeline::Train(
   // long-lived process (serving, benches over many cities) does not pin
   // peak-training RSS.
   std::atomic<uint64_t> released{0};
-  par::DefaultPool().RunOnAllWorkers(
-      [&released](int) { released += kern::TrimThreadArena(); });
+  {
+    obs::ScopedSpan span("wsccl.trim_arenas");
+    par::DefaultPool().RunOnAllWorkers(
+        [&released](int) { released += kern::TrimThreadArena(); });
+  }
   if (obs::MetricsEnabled()) {
     obs::GetCounter("nn.arena_trimmed_bytes").Add(released.load());
   }

@@ -3,11 +3,17 @@
 // support. All loops use a fixed summation order, so results are
 // deterministic for a pinned kernel — just not bitwise equal to scalar.
 //
-// Layout of the main kernels: 16-column panels of B (optionally packed
-// contiguously when the row count amortises the copy), register tiles of
-// up to 4 A-rows x 16 columns accumulated over the full K extent in ymm
-// registers, then added into C once per tile. The A element stride is
-// parameterised so the same microkernel serves both A and A^T operands.
+// Layout of the fp32 GEMMs: register tiles accumulated over the full K
+// extent in ymm registers, then added into C once per tile. GemmAcc and
+// GemmTransAAcc share one driver whose A element stride is
+// parameterised, so the same tiles serve A and A^T: 6-row x 16-column
+// tiles over B's 16-column panels (packed contiguously when the row
+// count amortises the copy), and for the 1-5 rows those leave, 4 x 16,
+// 2 x 32 and 1 x 64 tiles with 8 accumulator chains each. GemmTransBAcc
+// runs 4 x 3, 2 x 4 and 1 x 8 tiles of 8-lane dot chains. The tile shape
+// decides only which outputs share loads: each output element's op
+// sequence is fixed (see Tile and DotTile), so a row's bits never depend
+// on m, n or its neighbours.
 
 #include <immintrin.h>
 
@@ -24,6 +30,7 @@ namespace tpr::kern::avx2 {
 namespace {
 
 constexpr int kPanel = 16;  // B panel width in floats (two ymm)
+constexpr int kBlock = 64;  // columns the leftover rows' tiles span
 
 // Packing pays once a panel is reused across several row tiles.
 constexpr int kPackMinRows = 8;
@@ -47,17 +54,13 @@ inline void PackB16(const float* b, int k, int n, int j0, float* pb) {
   }
 }
 
-// ROWS x 16 register tiles: out[r, 0..16) += sum_kk A(r, kk) * B(kk, 0..16).
-// A element (r, kk) sits at abase[r * a_row_stride + kk * a_k_stride] so
-// the kernel serves both normal (stride k, 1) and transposed (stride 1,
-// m) A operands. bcol walks B's panel rows with stride bstride (16 when
-// packed, n otherwise).
-//
-// The accumulators are individually named locals, NOT arrays: GCC at -O2
-// does not promote indexed __m256 arrays to registers here, and the
-// resulting stack spills in the kk loop cost ~3x throughput. Each output
-// element still accumulates sequentially over kk in a single register,
-// so tile row count never changes results.
+// 6 x 16 register tile over one B panel: out[r, 0..16) += sum_kk
+// A(r, kk) * B(kk, 0..16), A addressed as in Tile below. Each of its 12
+// accumulators is one FMA chain over kk from zero, added to out once:
+// the same op sequence as Tile<6, 2>. It stays written out with named
+// accumulators because GCC compiles this form ~5-10% faster at k <= 5
+// (the small-k dW products of LstmSequence's backward) than the
+// template, whose pointers spill around every tile in the driver.
 #define TPR_TILE16_ROW_INIT(R)            \
   __m256 c##R##0 = _mm256_setzero_ps();   \
   __m256 c##R##1 = _mm256_setzero_ps();   \
@@ -90,109 +93,145 @@ inline void Tile16R6(const float* abase, size_t a_row_stride,
   TPR_TILE16_ROW_STORE(3) TPR_TILE16_ROW_STORE(4) TPR_TILE16_ROW_STORE(5)
 }
 
-inline void Tile16R2(const float* abase, size_t a_row_stride,
-                     size_t a_k_stride, int k, const float* bcol,
-                     size_t bstride, float* out, int ldc) {
-  TPR_TILE16_ROW_INIT(0) TPR_TILE16_ROW_INIT(1)
-  for (int kk = 0; kk < k; ++kk) {
-    const size_t ko = static_cast<size_t>(kk) * a_k_stride;
-    const __m256 b0 = _mm256_loadu_ps(bcol + static_cast<size_t>(kk) * bstride);
-    const __m256 b1 =
-        _mm256_loadu_ps(bcol + static_cast<size_t>(kk) * bstride + 8);
-    __m256 av;
-    TPR_TILE16_ROW_FMA(0) TPR_TILE16_ROW_FMA(1)
-  }
-  float* o;
-  TPR_TILE16_ROW_STORE(0) TPR_TILE16_ROW_STORE(1)
-}
-
-inline void Tile16R1(const float* abase, size_t a_row_stride,
-                     size_t a_k_stride, int k, const float* bcol,
-                     size_t bstride, float* out, int ldc) {
-  TPR_TILE16_ROW_INIT(0)
-  for (int kk = 0; kk < k; ++kk) {
-    const size_t ko = static_cast<size_t>(kk) * a_k_stride;
-    const __m256 b0 = _mm256_loadu_ps(bcol + static_cast<size_t>(kk) * bstride);
-    const __m256 b1 =
-        _mm256_loadu_ps(bcol + static_cast<size_t>(kk) * bstride + 8);
-    __m256 av;
-    TPR_TILE16_ROW_FMA(0)
-  }
-  float* o;
-  TPR_TILE16_ROW_STORE(0)
-}
-
 #undef TPR_TILE16_ROW_INIT
 #undef TPR_TILE16_ROW_FMA
 #undef TPR_TILE16_ROW_STORE
 
-// ROWS x 8 register tile for the 8..15-column tail.
-template <int ROWS>
-inline void Tile8(const float* abase, size_t a_row_stride, size_t a_k_stride,
-                  int k, const float* bcol, size_t bstride, float* out,
-                  int ldc) {
-  __m256 acc[ROWS];
-  for (int r = 0; r < ROWS; ++r) acc[r] = _mm256_setzero_ps();
+// R x 8V register tile: out[r, 0..8V) += sum_kk A(r, kk) * B(kk, 0..8V).
+// A element (r, kk) sits at abase[r * a_row_stride + kk * a_k_stride] so
+// the tile serves both normal (stride k, 1) and transposed (stride 1, m)
+// A operands. B's columns come in 16-column groups: row kk of group g
+// starts at bcol + kk * bstride + g * gstride (gstride 16 when B is read
+// in place; bstride 16 and gstride 16k when it is packed panel by panel).
+//
+// Every output element is one FMA chain over kk from zero in its own
+// register, added to out once, so the tile shape never changes a bit.
+// The unroll pragmas matter: GCC at -O2 keeps the accumulator arrays in
+// registers only once every index is a constant; spills in the kk loop
+// would cost ~3x throughput.
+template <int R, int V>
+[[gnu::always_inline]] inline void Tile(const float* abase,
+                                        size_t a_row_stride,
+                                        size_t a_k_stride, int k,
+                                        const float* bcol, size_t bstride,
+                                        size_t gstride, float* out, int ldc) {
+  __m256 c[R][V];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) c[r][v] = _mm256_setzero_ps();
+  }
   for (int kk = 0; kk < k; ++kk) {
-    const __m256 b0 = _mm256_loadu_ps(bcol + static_cast<size_t>(kk) * bstride);
-    for (int r = 0; r < ROWS; ++r) {
-      const __m256 av = _mm256_broadcast_ss(
-          abase + static_cast<size_t>(r) * a_row_stride +
-          static_cast<size_t>(kk) * a_k_stride);
-      acc[r] = _mm256_fmadd_ps(av, b0, acc[r]);
+    const float* brow = bcol + static_cast<size_t>(kk) * bstride;
+    const size_t ko = static_cast<size_t>(kk) * a_k_stride;
+    __m256 bv[V];
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      bv[v] = _mm256_loadu_ps(brow + (v / 2) * gstride + 8 * (v % 2));
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_broadcast_ss(abase + r * a_row_stride + ko);
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v) {
+        c[r][v] = _mm256_fmadd_ps(av, bv[v], c[r][v]);
+      }
     }
   }
-  for (int r = 0; r < ROWS; ++r) {
-    float* o = out + static_cast<size_t>(r) * ldc;
-    _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), acc[r]));
+  float* o = out;
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r, o += ldc) {
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      _mm256_storeu_ps(o + 8 * v,
+                       _mm256_add_ps(_mm256_loadu_ps(o + 8 * v), c[r][v]));
+    }
+  }
+}
+
+// Rows [0, R) of op(A) over the w columns (a multiple of 16) at bcol:
+// 8V-column tiles, then 16-column ones.
+template <int R, int V>
+[[gnu::noinline]] void Band(const float* abase, size_t a_row_stride,
+                            size_t a_k_stride, int k, const float* bcol,
+                            size_t bstride, size_t gstride, int w, float* out,
+                            int ldc) {
+  int j = 0;
+  for (; j + 8 * V <= w; j += 8 * V) {
+    Tile<R, V>(abase, a_row_stride, a_k_stride, k,
+               bcol + j / kPanel * gstride, bstride, gstride, out + j, ldc);
+  }
+  for (; j < w; j += kPanel) {
+    Tile<R, 2>(abase, a_row_stride, a_k_stride, k,
+               bcol + j / kPanel * gstride, bstride, gstride, out + j, ldc);
   }
 }
 
 // Shared driver for out += op(A) * B with op(A) addressed through the
-// two strides (see Tile16).
+// two strides (see Tile). B goes in blocks of up to 64 columns. Within a
+// block, rows go in 6-row x 16-column tiles, panel by panel; the 1-5
+// rows those leave then take tiles with 8 accumulator chains over the
+// whole block (4 x 16, 2 x 32, then 1 x 64), so each reads B once per
+// up to 4 rows instead of once per 1-2. Once m rows amortise the copy,
+// each 16-column panel is packed contiguously before its 6-row tiles,
+// into its own slot when the leftover rows will read it again. The
+// bands are out of line: inlined, they crowd the 6-row loop's pointers
+// onto the stack, which costs ~10% at small k.
 void GemmStridedA(const float* a, size_t a_row_stride, size_t a_k_stride,
                   const float* b, float* out, int m, int k, int n) {
+  const int m6 = m - m % 6;
+  const int n16 = n - n % kPanel;
+  const bool do_pack = m >= kPackMinRows && n16 > 0;
+  const size_t slot = m6 < m ? static_cast<size_t>(k) * kPanel : 0;
   FloatBuffer pack;
-  const bool do_pack = m >= kPackMinRows && n >= kPanel;
-  if (do_pack) pack = FloatBuffer(static_cast<size_t>(k) * kPanel);
-
-  int j = 0;
-  for (; j + kPanel <= n; j += kPanel) {
-    const float* bcol = b + j;
-    size_t bstride = static_cast<size_t>(n);
-    if (do_pack) {
-      PackB16(b, k, n, j, pack.data());
-      bcol = pack.data();
-      bstride = kPanel;
+  if (do_pack) {
+    pack = FloatBuffer(static_cast<size_t>(k) * kPanel +
+                       (kBlock / kPanel - 1) * slot);
+  }
+  const size_t bstride = do_pack ? kPanel : static_cast<size_t>(n);
+  const size_t gstride = do_pack ? slot : kPanel;
+  for (int j = 0; j < n16; j += kBlock) {
+    const int w = n16 - j < kBlock ? n16 - j : kBlock;
+    const float* bcol = do_pack ? pack.data() : b + j;
+    for (int p = 0; p < w / kPanel; ++p) {
+      if (do_pack) PackB16(b, k, n, j + p * kPanel, pack.data() + p * slot);
+      for (int i = 0; i < m6; i += 6) {
+        Tile16R6(a + static_cast<size_t>(i) * a_row_stride, a_row_stride,
+                 a_k_stride, k, bcol + p * gstride, bstride,
+                 out + static_cast<size_t>(i) * n + j + p * kPanel, n);
+      }
     }
-    int i = 0;
-    for (; i + 6 <= m; i += 6) {
-      Tile16R6(a + static_cast<size_t>(i) * a_row_stride, a_row_stride,
-               a_k_stride, k, bcol, bstride,
-               out + static_cast<size_t>(i) * n + j, n);
+    int i = m6;
+    if (i + 4 <= m) {
+      Band<4, 2>(a + static_cast<size_t>(i) * a_row_stride, a_row_stride,
+                 a_k_stride, k, bcol, bstride, gstride, w,
+                 out + static_cast<size_t>(i) * n + j, n);
+      i += 4;
     }
-    for (; i + 2 <= m; i += 2) {
-      Tile16R2(a + static_cast<size_t>(i) * a_row_stride, a_row_stride,
-               a_k_stride, k, bcol, bstride,
-               out + static_cast<size_t>(i) * n + j, n);
+    if (i + 2 <= m) {
+      Band<2, 4>(a + static_cast<size_t>(i) * a_row_stride, a_row_stride,
+                 a_k_stride, k, bcol, bstride, gstride, w,
+                 out + static_cast<size_t>(i) * n + j, n);
+      i += 2;
     }
-    for (; i < m; ++i) {
-      Tile16R1(a + static_cast<size_t>(i) * a_row_stride, a_row_stride,
-               a_k_stride, k, bcol, bstride,
-               out + static_cast<size_t>(i) * n + j, n);
+    if (i < m) {
+      Band<1, 8>(a + static_cast<size_t>(i) * a_row_stride, a_row_stride,
+                 a_k_stride, k, bcol, bstride, gstride, w,
+                 out + static_cast<size_t>(i) * n + j, n);
     }
   }
+  int j = n16;
   if (j + 8 <= n) {
     int i = 0;
     for (; i + 4 <= m; i += 4) {
-      Tile8<4>(a + static_cast<size_t>(i) * a_row_stride, a_row_stride,
-               a_k_stride, k, b + j, static_cast<size_t>(n),
-               out + static_cast<size_t>(i) * n + j, n);
+      Tile<4, 1>(a + static_cast<size_t>(i) * a_row_stride, a_row_stride,
+                 a_k_stride, k, b + j, static_cast<size_t>(n), kPanel,
+                 out + static_cast<size_t>(i) * n + j, n);
     }
     for (; i < m; ++i) {
-      Tile8<1>(a + static_cast<size_t>(i) * a_row_stride, a_row_stride,
-               a_k_stride, k, b + j, static_cast<size_t>(n),
-               out + static_cast<size_t>(i) * n + j, n);
+      Tile<1, 1>(a + static_cast<size_t>(i) * a_row_stride, a_row_stride,
+                 a_k_stride, k, b + j, static_cast<size_t>(n), kPanel,
+                 out + static_cast<size_t>(i) * n + j, n);
     }
     j += 8;
   }
@@ -207,6 +246,61 @@ void GemmStridedA(const float* a, size_t a_row_stride, size_t a_k_stride,
       }
       out[static_cast<size_t>(i) * n + j] += s;
     }
+  }
+}
+
+// R x C tile of dots for out[i, j] += dot(A row i, B row j), both rows
+// contiguous: 8-lane FMA chains over the whole 8-float blocks of k, the
+// Hsum pairing, then the k % 8 tail in order, added to out once. That
+// op sequence is the same for every tile shape.
+template <int R, int C>
+inline void DotTile(const float* a, const float* b, float* out, int k,
+                    int n) {
+  __m256 acc[R][C];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int c = 0; c < C; ++c) acc[r][c] = _mm256_setzero_ps();
+  }
+  int kk = 0;
+  for (; kk + 8 <= k; kk += 8) {
+    __m256 bv[C];
+#pragma GCC unroll 8
+    for (int c = 0; c < C; ++c) {
+      bv[c] = _mm256_loadu_ps(b + static_cast<size_t>(c) * k + kk);
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m256 va = _mm256_loadu_ps(a + static_cast<size_t>(r) * k + kk);
+#pragma GCC unroll 8
+      for (int c = 0; c < C; ++c) {
+        acc[r][c] = _mm256_fmadd_ps(va, bv[c], acc[r][c]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    const float* ar = a + static_cast<size_t>(r) * k;
+#pragma GCC unroll 8
+    for (int c = 0; c < C; ++c) {
+      const float* br = b + static_cast<size_t>(c) * k;
+      float s = Hsum(acc[r][c]);
+      for (int kt = kk; kt < k; ++kt) s += ar[kt] * br[kt];
+      out[static_cast<size_t>(r) * n + c] += s;
+    }
+  }
+}
+
+// Rows [0, R) of A against every row of B: C B rows per tile, then one.
+template <int R, int C>
+inline void DotRows(const float* a, const float* b, float* out, int k,
+                    int n) {
+  int j = 0;
+  for (; j + C <= n; j += C) {
+    DotTile<R, C>(a, b + static_cast<size_t>(j) * k, out + j, k, n);
+  }
+  for (; j < n; ++j) {
+    DotTile<R, 1>(a, b + static_cast<size_t>(j) * k, out + j, k, n);
   }
 }
 
@@ -225,55 +319,21 @@ void GemmTransAAcc(const float* a, const float* b, float* out, int k, int m,
 
 void GemmTransBAcc(const float* a, const float* b, float* out, int m, int k,
                    int n) {
-  // out[i, j] = dot(a_row_i, b_row_j): both rows contiguous, so this is
-  // a vector dot with 4 B-rows sharing each A load.
-  for (int i = 0; i < m; ++i) {
-    const float* ar = a + static_cast<size_t>(i) * k;
-    float* out_row = out + static_cast<size_t>(i) * n;
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps();
-      __m256 acc3 = _mm256_setzero_ps();
-      const float* b0 = b + static_cast<size_t>(j) * k;
-      const float* b1 = b0 + k;
-      const float* b2 = b1 + k;
-      const float* b3 = b2 + k;
-      int kk = 0;
-      for (; kk + 8 <= k; kk += 8) {
-        const __m256 va = _mm256_loadu_ps(ar + kk);
-        acc0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b0 + kk), acc0);
-        acc1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b1 + kk), acc1);
-        acc2 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b2 + kk), acc2);
-        acc3 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b3 + kk), acc3);
-      }
-      float t0 = Hsum(acc0), t1 = Hsum(acc1), t2 = Hsum(acc2),
-            t3 = Hsum(acc3);
-      for (; kk < k; ++kk) {
-        const float av = ar[kk];
-        t0 += av * b0[kk];
-        t1 += av * b1[kk];
-        t2 += av * b2[kk];
-        t3 += av * b3[kk];
-      }
-      out_row[j] += t0;
-      out_row[j + 1] += t1;
-      out_row[j + 2] += t2;
-      out_row[j + 3] += t3;
-    }
-    for (; j < n; ++j) {
-      const float* br = b + static_cast<size_t>(j) * k;
-      __m256 acc = _mm256_setzero_ps();
-      int kk = 0;
-      for (; kk + 8 <= k; kk += 8) {
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(ar + kk),
-                              _mm256_loadu_ps(br + kk), acc);
-      }
-      float s = Hsum(acc);
-      for (; kk < k; ++kk) s += ar[kk] * br[kk];
-      out_row[j] += s;
-    }
+  // 4 A rows x 3 B rows share each tile's loads, so B streams once per 4
+  // rows; leftover rows go in pairs against 4 B rows, then one row
+  // against 8.
+  int i = 0;
+  for (; i + 4 <= m; i += 4) {
+    DotRows<4, 3>(a + static_cast<size_t>(i) * k, b,
+                  out + static_cast<size_t>(i) * n, k, n);
+  }
+  for (; i + 2 <= m; i += 2) {
+    DotRows<2, 4>(a + static_cast<size_t>(i) * k, b,
+                  out + static_cast<size_t>(i) * n, k, n);
+  }
+  if (i < m) {
+    DotRows<1, 8>(a + static_cast<size_t>(i) * k, b,
+                  out + static_cast<size_t>(i) * n, k, n);
   }
 }
 
@@ -298,18 +358,106 @@ inline __m256i Dot16I16(const int16_t* a, const int16_t* b, __m256i acc) {
   return _mm256_add_epi32(acc, _mm256_madd_epi16(va, vb));
 }
 
+// Lane t of the result is the sum of x[t]'s eight lanes: one hadd tree
+// for four or eight dots instead of one reduction each.
+inline __m128i Hsum4I32(const __m256i* x) {
+  const __m256i h = _mm256_hadd_epi32(_mm256_hadd_epi32(x[0], x[1]),
+                                      _mm256_hadd_epi32(x[2], x[3]));
+  return _mm_add_epi32(_mm256_castsi256_si128(h),
+                       _mm256_extracti128_si256(h, 1));
+}
+
+inline __m256i Hsum8I32(const __m256i* x) {
+  const __m256i h0 = _mm256_hadd_epi32(
+      _mm256_hadd_epi32(x[0], x[1]), _mm256_hadd_epi32(x[2], x[3]));
+  const __m256i h1 = _mm256_hadd_epi32(
+      _mm256_hadd_epi32(x[4], x[5]), _mm256_hadd_epi32(x[6], x[7]));
+  return _mm256_add_epi32(_mm256_permute2x128_si256(h0, h1, 0x20),
+                          _mm256_permute2x128_si256(h0, h1, 0x31));
+}
+
+// R activation rows x C weight channels of int32 dots (R * C = 8 or 12):
+// out[r * n + c] = dot(arow r, b row c). Each weight load of a k step
+// serves all R rows, and the accumulators are reduced together.
+template <int R, int C>
+[[gnu::always_inline]] inline void Int8Block(const int16_t* arow,
+                                             const int16_t* b, int32_t* out,
+                                             int k, int n) {
+  constexpr int T = R * C;
+  static_assert(T == 8 || T == 12, "the hadd trees reduce 8 or 12 dots");
+  __m256i acc[T];
+#pragma GCC unroll 12
+  for (int t = 0; t < T; ++t) acc[t] = _mm256_setzero_si256();
+  int kk = 0;
+  for (; kk + 16 <= k; kk += 16) {
+    __m256i vb[C];
+#pragma GCC unroll 8
+    for (int c = 0; c < C; ++c) {
+      vb[c] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+          b + static_cast<size_t>(c) * k + kk));
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+          arow + static_cast<size_t>(r) * k + kk));
+#pragma GCC unroll 8
+      for (int c = 0; c < C; ++c) {
+        acc[r * C + c] =
+            _mm256_add_epi32(_mm256_madd_epi16(va, vb[c]), acc[r * C + c]);
+      }
+    }
+  }
+  // Ends each accumulator's live range in its loop register. Without
+  // this GCC picks registers for the hadd pairing and copies every
+  // accumulator inside the k loop, a third more uops per step.
+  asm("" : "+x"(acc[0]), "+x"(acc[1]), "+x"(acc[2]), "+x"(acc[3]),
+      "+x"(acc[4]), "+x"(acc[5]), "+x"(acc[6]), "+x"(acc[7]));
+  // The k % 16 tail, then each row's C sums stored as one vector.
+  alignas(32) int32_t tail[T] = {};
+  for (; kk < k; ++kk) {
+    for (int r = 0; r < R; ++r) {
+      for (int c = 0; c < C; ++c) {
+        tail[r * C + c] += static_cast<int32_t>(arow[r * k + kk]) *
+                           static_cast<int32_t>(b[c * k + kk]);
+      }
+    }
+  }
+  const __m256i s8 = _mm256_add_epi32(
+      Hsum8I32(acc),
+      _mm256_load_si256(reinterpret_cast<const __m256i*>(tail)));
+  if constexpr (C == 8) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), s8);
+  } else {
+    static_assert(C == 4, "rows hold 4 or 8 channels");
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                     _mm256_castsi256_si128(s8));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + n),
+                     _mm256_extracti128_si256(s8, 1));
+  }
+  if constexpr (T == 12) {
+    asm("" : "+x"(acc[8]), "+x"(acc[9]), "+x"(acc[10]), "+x"(acc[11]));
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i*>(out + 2 * n),
+        _mm_add_epi32(Hsum4I32(acc + 8),
+                      _mm_load_si128(reinterpret_cast<const __m128i*>(
+                          tail + 8))));
+  }
+}
+
 }  // namespace
 
 void GemmInt8Wide(const int8_t* a, const int16_t* bt, int32_t* out, int m,
                   int k, int n) {
   // The weight panel is pre-widened by the caller. Up to kRowTile
   // activation rows are widened once into an L1-resident int16 tile and
-  // the column loop runs OUTSIDE the row loop within each tile, so a
-  // 4-channel weight block is pulled from L2 once per tile and then
+  // the column loop runs OUTSIDE the row loop within each tile, so an
+  // 8-channel weight block is pulled from L2 once per tile and then
   // served from L1 for every row — with a row-outer order the panel is
   // re-streamed per row and batched (m > 1) calls gain nothing over
-  // m = 1. Each out[i, j] is still an independent exact dot product, so
-  // results are identical for any m and to the scalar kernel.
+  // m = 1. Rows go in threes, then a pair, against 4 channels, and a
+  // leftover row against all 8. Each out[i, j] is still an exact dot
+  // product, so results are identical for any m and to the scalar
+  // kernel.
   constexpr int kRowTile = 32;
   static thread_local std::vector<int16_t> a16_scratch;
   a16_scratch.resize(static_cast<size_t>(kRowTile) * k);
@@ -327,105 +475,26 @@ void GemmInt8Wide(const int8_t* a, const int16_t* bt, int32_t* out, int m,
       }
       for (; kk < k; ++kk) dst[kk] = ar[kk];
     }
+    int32_t* out_tile = out + static_cast<size_t>(i0) * n;
     int j = 0;
-    for (; j + 4 <= n; j += 4) {
+    for (; j + 8 <= n; j += 8) {
       const int16_t* b0 = bt + static_cast<size_t>(j) * k;
-      const int16_t* b1 = b0 + k;
-      const int16_t* b2 = b1 + k;
-      const int16_t* b3 = b2 + k;
-      // 2-row x 4-channel register block: the four weight loads of each
-      // k-step are shared by two activation rows (6 loads per 8 madds
-      // instead of 10), which matters because the kernel is load-port
-      // bound, not multiply bound. 8 accumulators + 4 weight + 2
-      // activation registers fit the 16 ymm budget.
       int i = 0;
-      for (; i + 2 <= mt; i += 2) {
-        const int16_t* arow0 = a16 + static_cast<size_t>(i) * k;
-        const int16_t* arow1 = arow0 + k;
-        int32_t* out_row0 = out + static_cast<size_t>(i0 + i) * n;
-        int32_t* out_row1 = out_row0 + n;
-        __m256i acc00 = _mm256_setzero_si256();
-        __m256i acc01 = _mm256_setzero_si256();
-        __m256i acc02 = _mm256_setzero_si256();
-        __m256i acc03 = _mm256_setzero_si256();
-        __m256i acc10 = _mm256_setzero_si256();
-        __m256i acc11 = _mm256_setzero_si256();
-        __m256i acc12 = _mm256_setzero_si256();
-        __m256i acc13 = _mm256_setzero_si256();
-        int kk = 0;
-        for (; kk + 16 <= k; kk += 16) {
-          const __m256i vb0 = _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(b0 + kk));
-          const __m256i vb1 = _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(b1 + kk));
-          const __m256i vb2 = _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(b2 + kk));
-          const __m256i vb3 = _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(b3 + kk));
-          const __m256i va0 = _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(arow0 + kk));
-          const __m256i va1 = _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(arow1 + kk));
-          acc00 = _mm256_add_epi32(acc00, _mm256_madd_epi16(va0, vb0));
-          acc01 = _mm256_add_epi32(acc01, _mm256_madd_epi16(va0, vb1));
-          acc02 = _mm256_add_epi32(acc02, _mm256_madd_epi16(va0, vb2));
-          acc03 = _mm256_add_epi32(acc03, _mm256_madd_epi16(va0, vb3));
-          acc10 = _mm256_add_epi32(acc10, _mm256_madd_epi16(va1, vb0));
-          acc11 = _mm256_add_epi32(acc11, _mm256_madd_epi16(va1, vb1));
-          acc12 = _mm256_add_epi32(acc12, _mm256_madd_epi16(va1, vb2));
-          acc13 = _mm256_add_epi32(acc13, _mm256_madd_epi16(va1, vb3));
-        }
-        int32_t t00 = HsumI32(acc00), t01 = HsumI32(acc01),
-                t02 = HsumI32(acc02), t03 = HsumI32(acc03);
-        int32_t t10 = HsumI32(acc10), t11 = HsumI32(acc11),
-                t12 = HsumI32(acc12), t13 = HsumI32(acc13);
-        for (; kk < k; ++kk) {
-          const int32_t a0 = arow0[kk], a1 = arow1[kk];
-          t00 += a0 * b0[kk];
-          t01 += a0 * b1[kk];
-          t02 += a0 * b2[kk];
-          t03 += a0 * b3[kk];
-          t10 += a1 * b0[kk];
-          t11 += a1 * b1[kk];
-          t12 += a1 * b2[kk];
-          t13 += a1 * b3[kk];
-        }
-        out_row0[j] = t00;
-        out_row0[j + 1] = t01;
-        out_row0[j + 2] = t02;
-        out_row0[j + 3] = t03;
-        out_row1[j] = t10;
-        out_row1[j + 1] = t11;
-        out_row1[j + 2] = t12;
-        out_row1[j + 3] = t13;
-      }
-      for (; i < mt; ++i) {
+      for (; i + 3 <= mt; i += 3) {
         const int16_t* arow = a16 + static_cast<size_t>(i) * k;
-        int32_t* out_row = out + static_cast<size_t>(i0 + i) * n;
-        __m256i acc0 = _mm256_setzero_si256();
-        __m256i acc1 = _mm256_setzero_si256();
-        __m256i acc2 = _mm256_setzero_si256();
-        __m256i acc3 = _mm256_setzero_si256();
-        int kk = 0;
-        for (; kk + 16 <= k; kk += 16) {
-          acc0 = Dot16I16(arow + kk, b0 + kk, acc0);
-          acc1 = Dot16I16(arow + kk, b1 + kk, acc1);
-          acc2 = Dot16I16(arow + kk, b2 + kk, acc2);
-          acc3 = Dot16I16(arow + kk, b3 + kk, acc3);
-        }
-        int32_t t0 = HsumI32(acc0), t1 = HsumI32(acc1), t2 = HsumI32(acc2),
-                t3 = HsumI32(acc3);
-        for (; kk < k; ++kk) {
-          const int32_t av = arow[kk];
-          t0 += av * b0[kk];
-          t1 += av * b1[kk];
-          t2 += av * b2[kk];
-          t3 += av * b3[kk];
-        }
-        out_row[j] = t0;
-        out_row[j + 1] = t1;
-        out_row[j + 2] = t2;
-        out_row[j + 3] = t3;
+        int32_t* o = out_tile + static_cast<size_t>(i) * n + j;
+        Int8Block<3, 4>(arow, b0, o, k, n);
+        Int8Block<3, 4>(arow, b0 + static_cast<size_t>(4) * k, o + 4, k, n);
+      }
+      for (; i + 2 <= mt; i += 2) {
+        const int16_t* arow = a16 + static_cast<size_t>(i) * k;
+        int32_t* o = out_tile + static_cast<size_t>(i) * n + j;
+        Int8Block<2, 4>(arow, b0, o, k, n);
+        Int8Block<2, 4>(arow, b0 + static_cast<size_t>(4) * k, o + 4, k, n);
+      }
+      if (i < mt) {
+        Int8Block<1, 8>(a16 + static_cast<size_t>(i) * k, b0,
+                        out_tile + static_cast<size_t>(i) * n + j, k, n);
       }
     }
     for (; j < n; ++j) {
@@ -439,7 +508,7 @@ void GemmInt8Wide(const int8_t* a, const int16_t* bt, int32_t* out, int m,
         for (; kk < k; ++kk) {
           s += static_cast<int32_t>(arow[kk]) * static_cast<int32_t>(br[kk]);
         }
-        out[static_cast<size_t>(i0 + i) * n + j] = s;
+        out_tile[static_cast<size_t>(i) * n + j] = s;
       }
     }
   }

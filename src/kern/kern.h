@@ -69,6 +69,15 @@ Kernel ResolveKernelSpec(const char* spec);
 // ---------------------------------------------------------------------------
 
 /// out(m x n) += a(m x k) * b(k x n)
+///
+/// Under either kernel each output element runs one fixed op sequence
+/// over k, and no tile shape changes it: a row's bits depend on that row
+/// of a, on b and on k, never on m, n or the rows beside it, so a row
+/// encoded alone equals the same row inside any batch. avx2 runs one FMA
+/// chain over k from zero and adds it to out once; scalar adds each
+/// product of a nonzero a element into out in increasing k. The other
+/// two GEMMs keep the same rule (GemmTransBAcc's avx2 element: eight FMA
+/// lane chains, their fixed pairwise sum, then the k % 8 tail).
 void GemmAcc(const float* a, const float* b, float* out, int m, int k, int n);
 
 /// out(m x n) += a(k x m)^T * b(k x n)

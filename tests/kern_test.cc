@@ -49,22 +49,27 @@ void ExpectNearRel(const std::vector<float>& a, const std::vector<float>& b,
 
 using GemmFn = void (*)(const float*, const float*, float*, int, int, int);
 
-// Runs one GEMM variant under `k` and returns the accumulated output
-// (seeded with a nonzero pattern so += semantics are exercised).
+// A nonzero starting output, so += semantics are exercised.
+std::vector<float> StartingOut(size_t out_n) {
+  std::vector<float> out(out_n);
+  for (size_t i = 0; i < out_n; ++i) out[i] = 0.25f * static_cast<float>(i % 7);
+  return out;
+}
+
+// Runs one GEMM variant under `k` and returns the accumulated output.
 std::vector<float> RunGemm(GemmFn fn, Kernel k, const std::vector<float>& a,
                            const std::vector<float>& b, int d0, int d1,
                            int d2, size_t out_n) {
   ScopedKernel pin(k);
-  std::vector<float> out(out_n);
-  for (size_t i = 0; i < out_n; ++i) out[i] = 0.25f * static_cast<float>(i % 7);
+  std::vector<float> out = StartingOut(out_n);
   fn(a.data(), b.data(), out.data(), d0, d1, d2);
   return out;
 }
 
 // Shapes chosen to hit every code path of the avx2 microkernels: full
-// 16-column panels, the 8-column tail, the scalar column tail, 4-row
-// tiles, 1-3 row tails, packed (m >= 8, n >= 16) and unpacked panels,
-// and empty extents.
+// 16-column panels, the 8-column tail, the scalar column tail, 6-row
+// tiles and the 1-5 rows they leave, packed (m >= 8, n >= 16) and
+// unpacked panels, and empty extents.
 struct GemmShape {
   int m, k, n;
 };
@@ -156,6 +161,122 @@ TEST(GemmParityTest, EachKernelIsBitwiseDeterministic) {
     const auto r2 = RunGemm(&GemmAcc, kr, a, b, m, k, n, on);
     EXPECT_EQ(0, std::memcmp(r1.data(), r2.data(), on * sizeof(float)))
         << KernelName(kr) << " is not run-to-run bitwise stable";
+  }
+}
+
+// The avx2 GEMMs fix each output element's op sequence, whatever tile
+// covers it. GemmAcc and GemmTransAAcc: one FMA chain over k from zero,
+// added to out once. GemmTransBAcc: eight FMA lane chains over the whole
+// 8-float blocks of k, summed in the Hsum pairing, then the k % 8 tail as
+// FMAs in order, added to out once. (The translation unit is built with
+// -mfma, so its scalar tails contract to FMAs as well.) These references
+// spell the sequences out with std::fmaf; the shapes cover every tile,
+// packed and unpacked panels, and the model's recurrent and input shapes.
+float RefStridedDot(const float* a, size_t a_k_stride, const float* b,
+                    size_t b_k_stride, int k, float out) {
+  float acc = 0.0f;
+  for (int kk = 0; kk < k; ++kk) {
+    acc = std::fmaf(a[kk * a_k_stride], b[kk * b_k_stride], acc);
+  }
+  return out + acc;
+}
+
+float RefLaneDot(const float* a, const float* b, int k, float out) {
+  float lane[8] = {};
+  int kk = 0;
+  for (; kk + 8 <= k; kk += 8) {
+    for (int l = 0; l < 8; ++l) {
+      lane[l] = std::fmaf(a[kk + l], b[kk + l], lane[l]);
+    }
+  }
+  float s = ((lane[0] + lane[4]) + (lane[1] + lane[5])) +
+            ((lane[2] + lane[6]) + (lane[3] + lane[7]));
+  for (; kk < k; ++kk) s = std::fmaf(a[kk], b[kk], s);
+  return out + s;
+}
+
+struct SkinnyShapes {
+  std::vector<int> ms;
+  std::vector<std::pair<int, int>> kns;
+};
+SkinnyShapes AllSkinnyShapes() {
+  SkinnyShapes s;
+  for (int m = 1; m <= 13; ++m) s.ms.push_back(m);
+  s.ms.push_back(16);
+  s.ms.push_back(32);
+  s.kns = {{128, 512}, {48, 512}, {512, 128}, {512, 48}, {17, 23}, {5, 9}};
+  return s;
+}
+
+TEST(GemmOpOrderTest, Avx2GemmsMatchTheirFmaReferenceBitwise) {
+  if (!CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this CPU";
+  const SkinnyShapes shapes = AllSkinnyShapes();
+  for (const auto& [k, n] : shapes.kns) {
+    for (int m : shapes.ms) {
+      SCOPED_TRACE(::testing::Message()
+                   << "m=" << m << " k=" << k << " n=" << n);
+      const size_t on = static_cast<size_t>(m) * n;
+      const auto a = RandomVec(static_cast<size_t>(m) * k, 1000 + m);
+      const auto b = RandomVec(static_cast<size_t>(k) * n, 2000 + k + n);
+      const std::vector<float> seed = StartingOut(on);
+
+      // GemmAcc: a is m x k, b is k x n.
+      const auto acc = RunGemm(&GemmAcc, Kernel::kAvx2, a, b, m, k, n, on);
+      // GemmTransAAcc: the same floats read as a k x m matrix.
+      const auto ta = RunGemm(&GemmTransAAcc, Kernel::kAvx2, a, b, k, m, n, on);
+      // GemmTransBAcc: a is m x k, b is n x k.
+      const auto tb = RunGemm(&GemmTransBAcc, Kernel::kAvx2, a, b, m, k, n, on);
+      size_t acc_bad = 0, ta_bad = 0, tb_bad = 0;
+      for (int i = 0; i < m; ++i) {
+        for (int j = 0; j < n; ++j) {
+          const size_t o = static_cast<size_t>(i) * n + j;
+          const float ref_acc = RefStridedDot(
+              a.data() + static_cast<size_t>(i) * k, 1, b.data() + j,
+              static_cast<size_t>(n), k, seed[o]);
+          const float ref_ta = RefStridedDot(a.data() + i,
+                                             static_cast<size_t>(m),
+                                             b.data() + j,
+                                             static_cast<size_t>(n), k,
+                                             seed[o]);
+          const float ref_tb =
+              RefLaneDot(a.data() + static_cast<size_t>(i) * k,
+                         b.data() + static_cast<size_t>(j) * k, k, seed[o]);
+          acc_bad += std::memcmp(&acc[o], &ref_acc, sizeof(float)) != 0;
+          ta_bad += std::memcmp(&ta[o], &ref_ta, sizeof(float)) != 0;
+          tb_bad += std::memcmp(&tb[o], &ref_tb, sizeof(float)) != 0;
+        }
+      }
+      EXPECT_EQ(acc_bad, 0u) << "GemmAcc elements off their FMA chain";
+      EXPECT_EQ(ta_bad, 0u) << "GemmTransAAcc elements off their FMA chain";
+      EXPECT_EQ(tb_bad, 0u) << "GemmTransBAcc elements off their lane order";
+    }
+  }
+}
+
+// InferencePlan, LstmSequence and the served-embedding checks rely on a
+// row's bits not depending on how many rows share its call.
+TEST(GemmOpOrderTest, Avx2RowsMatchOneRowCallsBitwise) {
+  if (!CpuSupportsAvx2()) GTEST_SKIP() << "no AVX2 on this CPU";
+  ScopedKernel pin(Kernel::kAvx2);
+  const SkinnyShapes shapes = AllSkinnyShapes();
+  for (const auto& [k, n] : shapes.kns) {
+    for (int m : shapes.ms) {
+      SCOPED_TRACE(::testing::Message()
+                   << "m=" << m << " k=" << k << " n=" << n);
+      const size_t on = static_cast<size_t>(m) * n;
+      const auto a = RandomVec(static_cast<size_t>(m) * k, 3000 + m);
+      const auto b = RandomVec(static_cast<size_t>(k) * n, 4000 + k + n);
+      for (GemmFn fn : {&GemmAcc, &GemmTransBAcc}) {
+        std::vector<float> whole(on, 0.5f), rows(on, 0.5f);
+        fn(a.data(), b.data(), whole.data(), m, k, n);
+        for (int i = 0; i < m; ++i) {
+          fn(a.data() + static_cast<size_t>(i) * k, b.data(),
+             rows.data() + static_cast<size_t>(i) * n, 1, k, n);
+        }
+        EXPECT_EQ(0, std::memcmp(whole.data(), rows.data(), on * sizeof(float)))
+            << (fn == &GemmAcc ? "GemmAcc" : "GemmTransBAcc");
+      }
+    }
   }
 }
 
