@@ -4,13 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <array>
-#include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "gbdt/gradient_boosting.h"
@@ -311,89 +307,6 @@ void BM_GbdtFit(benchmark::State& state) {
 }
 BENCHMARK(BM_GbdtFit);
 
-// ---------------------------------------------------------------------------
-// Kernel-rate phase. Google-benchmark rows above are for humans; this
-// self-timed section writes the int8-vs-fp32 GEMM rate ratio at the
-// quantized rung's hot shape, under the production-dispatched kernel,
-// into the smoke record. It is read, not gated: the >=2x kernel-level
-// claim it used to gate is retired (DESIGN.md section 14), and the
-// quantized rung's floors sit on the end-to-end encode ratios.
-//
-// Best per-iteration seconds of two legs, timed in turn rep by rep, so
-// a burst of host load shorter than the phase falls on both legs, not
-// on whichever leg happened to be running.
-std::array<double, 2> BestSecondsInterleaved(
-    int reps, int iters, const std::array<std::function<void()>, 2>& legs) {
-  std::array<double, 2> best{1e30, 1e30};
-  for (const auto& fn : legs) fn();  // warm caches and the dispatch atomic
-  for (int r = 0; r < reps; ++r) {
-    for (size_t l = 0; l < legs.size(); ++l) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < iters; ++i) legs[l]();
-      const std::chrono::duration<double> dt =
-          std::chrono::steady_clock::now() - t0;
-      best[l] = std::min(best[l], dt.count() / iters);
-    }
-  }
-  return best;
-}
-
-void WriteKernelPhaseJson(const char* path, bool smoke) {
-  // The batched recurrent step: m = lockstep batch, k = d_hidden,
-  // n = 4 * d_hidden gate channels. Both legs read B in the same
-  // packed-transposed (n x k) layout.
-  constexpr int m = 32, k = 128, n = 512;
-  Rng rng(34);
-  std::vector<float> a(static_cast<size_t>(m) * k);
-  std::vector<float> b(static_cast<size_t>(n) * k);
-  std::vector<float> out(static_cast<size_t>(m) * n, 0.0f);
-  for (auto& v : a) v = static_cast<float>(rng.Gaussian());
-  for (auto& v : b) v = static_cast<float>(rng.Gaussian());
-  std::vector<int8_t> a8(static_cast<size_t>(m) * k);
-  std::vector<int16_t> btw(static_cast<size_t>(n) * k);
-  for (auto& v : a8) {
-    v = static_cast<int8_t>(static_cast<int>(rng.Uniform() * 255.0) - 127);
-  }
-  for (auto& v : btw) {
-    v = static_cast<int16_t>(static_cast<int>(rng.Uniform() * 255.0) - 127);
-  }
-  std::vector<int32_t> out32(static_cast<size_t>(m) * n);
-
-  const int reps = smoke ? 5 : 9;
-  const int iters = smoke ? 20 : 50;
-  const double ops = 2.0 * m * k * n;
-  // Best-of-reps, not mean: the floor gate wants the machine's capable
-  // rate, and the minimum per-iteration time is the measurement least
-  // polluted by preemption on shared runners.
-  const auto [fp32_s, int8_s] = BestSecondsInterleaved(
-      reps, iters,
-      {[&] { kern::GemmTransBAcc(a.data(), b.data(), out.data(), m, k, n); },
-       [&] {
-         kern::GemmInt8Wide(a8.data(), btw.data(), out32.data(), m, k, n);
-       }});
-  const double fp32_rate = fp32_s > 0 ? ops / fp32_s : 0.0;
-  const double int8_rate = int8_s > 0 ? ops / int8_s : 0.0;
-
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[bench] cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"bench_micro_ops\",\n"
-               "  \"smoke\": %s,\n  \"threads\": 1,\n  \"scale\": 1,\n"
-               "  \"commit\": \"\",\n  \"metrics\": {\n",
-               smoke ? "true" : "false");
-  std::fprintf(f, "    \"kern.avx2_available\": %d,\n",
-               kern::CpuSupportsAvx2() ? 1 : 0);
-  std::fprintf(f, "    \"kern.fp32_gemm_gflops\": %.6g,\n", fp32_rate / 1e9);
-  std::fprintf(f, "    \"kern.int8_gemm_gops\": %.6g,\n", int8_rate / 1e9);
-  std::fprintf(f, "    \"kern.int8_vs_fp32_gemm_rate\": %.6g\n",
-               fp32_rate > 0 ? int8_rate / fp32_rate : 0.0);
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-}
-
 }  // namespace
 }  // namespace tpr
 
@@ -417,8 +330,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (const char* path = std::getenv("TPR_BENCH_JSON")) {
-    tpr::WriteKernelPhaseJson(path, smoke);
-  }
   return 0;
 }

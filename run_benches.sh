@@ -77,9 +77,8 @@ if [ "$smoke" = true ]; then
   # Quantized-rung floors: the sequential and batched EncodeValue ratios
   # (int8 twin against the fp32 encoder, both on the same inference
   # plan), with measured floors and noise margin. Both timings are
-  # single-threaded, so no degraded floor is needed. bench_micro_ops
-  # still records kern.int8_vs_fp32_gemm_rate for reading, ungated: the
-  # >=2x kernel-level claim it gated is retired (DESIGN.md section 14).
+  # single-threaded, so no degraded floor is needed. (The >=2x
+  # kernel-level int8 claim is retired; DESIGN.md section 14.)
   if ! python3 "$root/ci/bench_gate.py" throughput \
       "$root/bench_smoke_metrics.json" --bench bench_serve_latency \
       --threads 1 \

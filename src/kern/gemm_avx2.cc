@@ -35,12 +35,15 @@ constexpr int kBlock = 64;  // columns the leftover rows' tiles span
 // Packing pays once a panel is reused across several row tiles.
 constexpr int kPackMinRows = 8;
 
+// ((l0+l4)+(l1+l5))+((l2+l6)+(l3+l7)): the pairing two hadds give, in
+// three shuffle uops instead of five. At small k this reduction, not
+// the FMA loop, bounds a GemmTransBAcc dot.
 inline float Hsum(__m256 v) {
   __m128 lo = _mm256_castps256_ps128(v);
   const __m128 hi = _mm256_extractf128_ps(v, 1);
   lo = _mm_add_ps(lo, hi);
-  lo = _mm_hadd_ps(lo, lo);
-  lo = _mm_hadd_ps(lo, lo);
+  lo = _mm_add_ps(lo, _mm_shuffle_ps(lo, lo, _MM_SHUFFLE(2, 3, 0, 1)));
+  lo = _mm_add_ss(lo, _mm_movehl_ps(lo, lo));
   return _mm_cvtss_f32(lo);
 }
 
@@ -235,14 +238,15 @@ void GemmStridedA(const float* a, size_t a_row_stride, size_t a_k_stride,
     }
     j += 8;
   }
-  // Scalar column tail (< 8 columns): per-element dot over k, fixed order.
+  // Scalar column tail (< 8 columns): the same FMA chain per element,
+  // spelt with std::fmaf so it holds at any -O level or -ffp-contract.
   for (; j < n; ++j) {
     for (int i = 0; i < m; ++i) {
       const float* ar = a + static_cast<size_t>(i) * a_row_stride;
       float s = 0.0f;
       for (int kk = 0; kk < k; ++kk) {
-        s += ar[static_cast<size_t>(kk) * a_k_stride] *
-             b[static_cast<size_t>(kk) * n + j];
+        s = std::fmaf(ar[static_cast<size_t>(kk) * a_k_stride],
+                      b[static_cast<size_t>(kk) * n + j], s);
       }
       out[static_cast<size_t>(i) * n + j] += s;
     }
@@ -251,8 +255,10 @@ void GemmStridedA(const float* a, size_t a_row_stride, size_t a_k_stride,
 
 // R x C tile of dots for out[i, j] += dot(A row i, B row j), both rows
 // contiguous: 8-lane FMA chains over the whole 8-float blocks of k, the
-// Hsum pairing, then the k % 8 tail in order, added to out once. That
-// op sequence is the same for every tile shape.
+// Hsum pairing, then the k % 8 tail as std::fmaf in order, added to out
+// once. That op sequence is the same for every tile shape. The tail
+// steps all R x C sums together, so at small k the chains overlap
+// instead of running one after another.
 template <int R, int C>
 inline void DotTile(const float* a, const float* b, float* out, int k,
                     int n) {
@@ -278,16 +284,26 @@ inline void DotTile(const float* a, const float* b, float* out, int k,
       }
     }
   }
+  float s[R][C];
 #pragma GCC unroll 8
   for (int r = 0; r < R; ++r) {
-    const float* ar = a + static_cast<size_t>(r) * k;
 #pragma GCC unroll 8
-    for (int c = 0; c < C; ++c) {
-      const float* br = b + static_cast<size_t>(c) * k;
-      float s = Hsum(acc[r][c]);
-      for (int kt = kk; kt < k; ++kt) s += ar[kt] * br[kt];
-      out[static_cast<size_t>(r) * n + c] += s;
+    for (int c = 0; c < C; ++c) s[r][c] = Hsum(acc[r][c]);
+  }
+  for (; kk < k; ++kk) {
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const float av = a[static_cast<size_t>(r) * k + kk];
+#pragma GCC unroll 8
+      for (int c = 0; c < C; ++c) {
+        s[r][c] = std::fmaf(av, b[static_cast<size_t>(c) * k + kk], s[r][c]);
+      }
     }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int c = 0; c < C; ++c) out[static_cast<size_t>(r) * n + c] += s[r][c];
   }
 }
 

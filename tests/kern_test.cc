@@ -168,10 +168,9 @@ TEST(GemmParityTest, EachKernelIsBitwiseDeterministic) {
 // covers it. GemmAcc and GemmTransAAcc: one FMA chain over k from zero,
 // added to out once. GemmTransBAcc: eight FMA lane chains over the whole
 // 8-float blocks of k, summed in the Hsum pairing, then the k % 8 tail as
-// FMAs in order, added to out once. (The translation unit is built with
-// -mfma, so its scalar tails contract to FMAs as well.) These references
-// spell the sequences out with std::fmaf; the shapes cover every tile,
-// packed and unpacked panels, and the model's recurrent and input shapes.
+// FMAs in order, added to out once. These references spell the sequences
+// out with std::fmaf; the shapes cover every tile, packed and unpacked
+// panels, the scalar tails, and the model's recurrent and input shapes.
 float RefStridedDot(const float* a, size_t a_k_stride, const float* b,
                     size_t b_k_stride, int k, float out) {
   float acc = 0.0f;

@@ -139,12 +139,14 @@ TEST(GemmInt8WideTest, MatchesNarrowGemmUnderEveryKernel) {
   // The pre-widened panel changes only how weights are stored, never the
   // exact int32 accumulation — wide must equal a naive int32 loop over
   // the narrow int8 panel bitwise under both kernels. Shapes straddle
-  // the 16-lane k step, the 4-channel block, the 2-row register block,
-  // and the 32-row L1 tile.
-  const int shapes[][3] = {{1, 1, 1},    {1, 15, 3},  {2, 16, 4},
-                           {3, 17, 5},   {5, 31, 7},  {7, 129, 9},
-                           {6, 64, 64},  {33, 17, 5}, {40, 16, 8},
-                           {65, 48, 12}, {1, 200, 33}};
+  // the 16-lane k step, the 3-row x 4-channel, 2-row x 4-channel and
+  // 1-row x 8-channel register blocks (each also with a k % 16 tail),
+  // the channels past the last 8-channel block, and the 32-row L1 tile.
+  const int shapes[][3] = {{1, 1, 1},    {1, 15, 3},   {2, 16, 4},
+                           {3, 17, 5},   {5, 31, 7},   {7, 129, 9},
+                           {6, 64, 64},  {33, 17, 5},  {40, 16, 8},
+                           {65, 48, 12}, {1, 200, 33}, {5, 33, 16},
+                           {2, 17, 8},   {8, 47, 24}};
   for (const auto& s : shapes) {
     const int m = s[0], k = s[1], n = s[2];
     Rng rng(static_cast<uint64_t>(m * 1000 + k * 10 + n));
